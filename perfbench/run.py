@@ -38,6 +38,7 @@ DETAIL_UNITS = {
     "tail_pct": "percentile",
     "samples": "count",
     "operations": "count",
+    "cpu_s": "s",
 }
 
 

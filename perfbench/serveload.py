@@ -35,6 +35,8 @@ BACKENDS = ("eyeriss", "simd", "systolic")
 HISTORY_EPOCHS = 120
 #: Submitted jobs use seeds far above the tree's, so names never collide.
 JOB_SEED_BASE = 1_000_000
+#: Seed of the request-kind order, which is the same for every workload seed.
+KIND_ORDER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,22 @@ def generate_tree(root: Path, seed: int, runs: int) -> List[str]:
 
     rng = random.Random(seed)
     designs = {name: get_backend(name).search_space("tiny").config_list() for name in BACKENDS}
-    # Exact state shares, so every seed's tree costs the same to scan.
+    # Exact state, method, task and backend shares, so every seed's tree
+    # costs the same to scan; the seed only deals them out.
     pending = checkpointed = runs // 10
     states = ["pending"] * pending + ["checkpointed"] * checkpointed
     states += ["finished"] * (runs - pending - checkpointed)
     rng.shuffle(states)
+    methods = sorted(METHODS)
+    columns = [
+        [values[index % len(values)] for index in range(runs)]
+        for values in (methods, TASKS, BACKENDS)
+    ]
+    for column in columns:
+        rng.shuffle(column)
     names = []
-    for index, state in enumerate(states):
-        method = rng.choice(sorted(METHODS))
-        config = ExperimentConfig(
-            method=method, seed=index, task=rng.choice(TASKS), backend=rng.choice(BACKENDS)
-        )
+    for index, (state, method, task, backend) in enumerate(zip(states, *columns)):
+        config = ExperimentConfig(method=method, seed=index, task=task, backend=backend)
         workdir = root / config.name
         config.save(workdir / "config.json")
         names.append(config.name)
@@ -120,24 +127,27 @@ def request_schedule(seed: int, count: int, run_names: Sequence[str]) -> List[Re
     """The seeded request mix of one pass (a pure function of its arguments).
 
     Each kind gets exactly its :data:`MIX` share of ``count`` (rounding
-    down; the remainder goes to ``report``); the seed sets the order, the
-    run names, cost queries and job configs.
+    down; the remainder goes to ``report``) and the cost queries cycle
+    through the backends.  The order of kinds is the same for every seed,
+    so every seed's pass does the same work with the same overlap between
+    the clients; the seed picks the run names, cost queries and job configs.
     """
     from repro.experiments import METHODS, ExperimentConfig
 
     rng = random.Random(seed)
-    # Exact per-kind counts in a seeded order: every seed's pass does the same work.
     kinds = [kind for kind, weight in MIX for _ in range(count * weight // 100)]
     kinds += [MIX[0][0]] * (count - len(kinds))
-    rng.shuffle(kinds)
+    random.Random(KIND_ORDER_SEED).shuffle(kinds)
     methods = sorted(METHODS)
     requests = []
+    costs = 0
     for index, kind in enumerate(kinds):
         if kind == "run":
             requests.append(Request(kind, "GET", f"/v1/runs/{rng.choice(run_names)}"))
         elif kind == "cost":
             arch = ",".join(str(rng.randrange(7)) for _ in range(9))
-            backend = rng.choice(BACKENDS)
+            backend = BACKENDS[costs % len(BACKENDS)]
+            costs += 1
             requests.append(Request(kind, "GET", f"/v1/cost?backend={backend}&arch={arch}"))
         elif kind == "submit_job":
             config = ExperimentConfig(method=rng.choice(methods), seed=JOB_SEED_BASE + index)

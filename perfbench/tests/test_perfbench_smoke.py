@@ -11,7 +11,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-WORKLOADS = [workload["name"] for workload in SPEC["workloads"]]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import WORKLOADS  # noqa: E402  (run_rl too, which BENCHMARK.json leaves out)
 
 
 def _run(workload: str, trace: int) -> tuple:

@@ -20,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 import serveload
 import spans
@@ -56,6 +56,12 @@ SWEEP = {
 #: against each other and the sweep swung 40-58 s over five runs, an
 #: interquartile spread of 25% of the median that no allowed bound covers.
 SWEEP_BLAS_THREADS = max(1, (os.cpu_count() or 1) // SWEEP["jobs"])
+#: BLAS threads of a single run.  A shared host slows one vCPU or the other
+#: for minutes at a time, and a GEMM split over both waits on the slower:
+#: over ten runs at the default two threads, ``run_dance`` slowed by 32% in
+#: such periods while the one-thread-per-process sweep and serve runs beside
+#: it slowed by about 20%.  One thread costs about 3% of wall time.
+RUN_BLAS_THREADS = 1
 #: Reduced budget for the benchmark's own smoke tests (no reference check).
 SMOKE_CONFIG = {
     "num_searchable": 3,
@@ -69,7 +75,10 @@ SMOKE_CONFIG = {
 }
 
 SERVE_RUNS = 96
-SERVE_CLIENTS = 2
+#: One closed-loop client.  With two, the server's handler threads contend
+#: for the interpreter lock and the per-run pass medians spread 19% over five
+#: seeds (3.5-4.6 s); with one they stayed within 4% (4.43-4.60 s).
+SERVE_CLIENTS = 1
 SERVE_PASS_REQUESTS = 40
 SERVE_SETUPS = 3
 #: A median over at least three passes sets one slow pass or RSS peak aside.
@@ -119,11 +128,9 @@ class ChildError(RuntimeError):
     """A measured child process failed or timed out."""
 
 
-def spawn(spec: Dict[str, Any], work: Path, blas_threads: Optional[int] = None) -> Dict[str, Any]:
+def spawn(spec: Dict[str, Any], work: Path, blas_threads: int) -> Dict[str, Any]:
     """Run ``child.py`` on ``spec``; add ``setup_s`` (spawn to operation start)."""
-    env = dict(os.environ, TMPDIR=str(work))
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    env = dict(os.environ, TMPDIR=str(work), OPENBLAS_NUM_THREADS=str(blas_threads))
     started = time.perf_counter()
     process = subprocess.Popen(
         [sys.executable, str(HERE / "child.py"), json.dumps(spec)],
@@ -174,17 +181,23 @@ def _design_problems(name: str, record: Dict[str, Any]) -> List[str]:
 def _operation_loop(
     seconds: float, trace: bool, minimum: int, operate: Callable[[bool], float]
 ) -> List[float]:
-    """Call ``operate(traced)`` until ``seconds`` pass and ``minimum`` calls are done.
+    """Call ``operate(traced)`` while the next call should end within ``seconds``.
 
-    Traced runs make one untraced call (the overhead baseline) and then
-    one traced call.  Returns the traced call's wall time last.
+    At least ``minimum`` calls are made; past that, a call starts only if
+    one more call as long as the last would still end by the deadline, so
+    a run overshoots ``seconds`` only to reach ``minimum``.  Traced runs
+    make one untraced call (the overhead baseline) and then one traced
+    call.  Returns the traced call's wall time last.
     """
     if trace:
         return [operate(False), operate(True)]
     walls: List[float] = []
     deadline = time.perf_counter() + seconds
-    while len(walls) < minimum or time.perf_counter() < deadline:
+    last = 0.0
+    while len(walls) < minimum or time.perf_counter() + last <= deadline:
+        begun = time.perf_counter()
         walls.append(operate(False))
+        last = time.perf_counter() - begun
     return walls
 
 
@@ -204,7 +217,7 @@ def run_compute(name: str, seconds: float, trace: bool, work: Path, smoke: bool)
     outcome = Outcome()
     sweep = name == "sweep_asha"
     config = _config(SWEEP["config"] if sweep else RUN_CONFIGS[name], smoke)
-    blas_threads = SWEEP_BLAS_THREADS if sweep else None
+    blas_threads = SWEEP_BLAS_THREADS if sweep else RUN_BLAS_THREADS
     setups: List[float] = []
     for _ in range(SETUP_PROBES):
         probe = spawn({"kind": "probe", "config": config}, work, blas_threads)
@@ -244,8 +257,8 @@ def run_compute(name: str, seconds: float, trace: bool, work: Path, smoke: bool)
         "setup_s": median(setups),
         "wall_s": median(walls),
         "peak_rss_mb": median(samples["rss_mb"]),
-        "cpu_s": median(samples["cpu_s"]),
     }
+    outcome.details["cpu_s"] = median(samples["cpu_s"])
     outcome.details["operations"] = len(walls)
     outcome.wall_samples = walls
     if trace:
@@ -391,9 +404,9 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path, smoke: bool) -
         "setup_s": median(setups),
         "wall_s": median(walls),
         "peak_rss_mb": median(rss),
-        "cpu_s": median(cpu),
     }
     outcome.details.update(
+        cpu_s=median(cpu),
         req_per_s=len(measured) / (walls[-1] if trace else sum(walls)),
         p50_ms=summary["p50_ms"],
         tail_ms=summary["tail_ms"],
