@@ -291,7 +291,7 @@ def summarize_run_dir(
                 pass
 
     if summary.has_checkpoint:
-        summary.checkpoint_step, summary.checkpoint_score = _checkpoint_head(
+        summary.checkpoint_step, summary.checkpoint_score = checkpoint_head(
             workdir / CHECKPOINT_ARTIFACT
         )
         if summary.checkpoint_step is None and not (workdir / CHECKPOINT_ARTIFACT).exists():
@@ -358,14 +358,15 @@ def _extract_config(summary: RunSummary, payload: bytes) -> None:
     summary.seed = int(seed) if isinstance(seed, (int, float)) and not isinstance(seed, bool) else None
 
 
-def _checkpoint_head(path: Path) -> Tuple[Optional[int], Optional[float]]:
+def checkpoint_head(path: Path) -> Tuple[Optional[int], Optional[float]]:
     """``(steps_completed, score)`` from the head of a checkpoint file.
 
     Checkpoints are megabytes of JSON (network weights); ``steps_completed``
     and the optional scheduler ``score`` are written first (dict insertion
     order, see ``Runner._checkpoint``), so 256 bytes suffice without
     parsing the payload.  Any read problem — missing file, permission,
-    garbage head — yields ``(None, None)``.
+    garbage head — yields ``(None, None)``.  The scheduled sweep drain
+    reads rung progress through this same function.
     """
     try:
         with path.open("r", encoding="utf-8", errors="replace") as handle:

@@ -37,13 +37,6 @@ CHECKPOINT_FILE = "checkpoint.json"
 RESULT_FILE = "result.json"
 
 
-def _json_safe(value: Any) -> Any:
-    """Deprecated alias of :func:`repro.utils.serialization.json_safe`."""
-    from repro.utils.serialization import json_safe
-
-    return json_safe(value)
-
-
 class Runner:
     """Executes experiments described by :class:`ExperimentConfig` objects."""
 
@@ -95,9 +88,12 @@ class Runner:
         if on_step is not None:
             on_step(searcher.steps_completed)
         executed = 0
+        # Step of the last checkpoint this call wrote: a pause right after a
+        # checkpointed step must not write the identical state again.
+        checkpointed_at: Optional[int] = None
         while searcher.steps_completed < searcher.num_steps:
             if max_steps is not None and executed >= max_steps:
-                if workdir is not None:
+                if workdir is not None and checkpointed_at != searcher.steps_completed:
                     self._checkpoint(searcher, workdir)
                 logger.info(
                     "paused %s at step %d/%d",
@@ -114,6 +110,7 @@ class Runner:
                 and searcher.steps_completed % checkpoint_every == 0
             ):
                 self._checkpoint(searcher, workdir)
+                checkpointed_at = searcher.steps_completed
             if on_step is not None:
                 on_step(searcher.steps_completed)
         if on_step is not None:

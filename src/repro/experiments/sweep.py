@@ -501,22 +501,6 @@ def _sweep_worker(base_dir: str, config_dicts: List[Dict[str, Any]], lock_ttl: f
     _drain_queue(base_dir, items, lock_ttl)
 
 
-def _checkpoint_steps(workdir: Path) -> int:
-    """Steps completed per the run's checkpoint head (0 when there is none).
-
-    Reads only the first bytes: ``steps_completed`` leads the checkpoint
-    payload precisely so progress queries never parse the (large) searcher
-    state (same trick as the results browser).
-    """
-    try:
-        with (workdir / CHECKPOINT_FILE).open("rb") as handle:
-            head = handle.read(256)
-    except OSError:
-        return 0
-    match = re.search(rb'"steps_completed":\s*(\d+)', head)
-    return int(match.group(1)) if match else 0
-
-
 def _drain_scheduled(
     base_dir: str,
     items: Sequence[WorkItem],
@@ -539,6 +523,8 @@ def _drain_scheduled(
     quota that can then never fill.  Stalled candidates surface as
     ``unfinished``/``failed`` in the outcome instead of hanging the sweep.
     """
+    from repro.experiments.browser.run_summary import checkpoint_head
+
     runner = Runner(base_dir=base_dir)
     names = [item.name for item in items]
     queue = WorkQueue(base_dir, names, lock_ttl=lock_ttl)
@@ -551,7 +537,8 @@ def _drain_scheduled(
         failed_marker = workdir / FAILED_FILE
         max_steps = None
         if assignment.budget is not None:
-            max_steps = max(assignment.budget - _checkpoint_steps(workdir), 0)
+            steps, _ = checkpoint_head(workdir / CHECKPOINT_FILE)
+            max_steps = max(assignment.budget - (steps or 0), 0)
         try:
             logger.info(
                 "worker %d: claimed %s (rung %d, budget %s)",

@@ -8,14 +8,34 @@ Two layers live here:
 * :func:`encode_state` / :func:`decode_state` plus
   :func:`save_checkpoint` / :func:`load_checkpoint` — a lossless state
   round-trip used by the experiment checkpointing in
-  :mod:`repro.experiments`.  Arrays keep their dtype and shape, and
-  ``numpy.random.Generator`` objects keep their exact bit-generator state,
-  so a restored search continues bit-identically (floats survive JSON
-  because Python prints the shortest decimal string that round-trips).
+  :mod:`repro.experiments`.  Arrays keep their dtype, shape and exact
+  bytes, and ``numpy.random.Generator`` objects keep their exact
+  bit-generator state, so a restored search continues bit-identically.
+
+The on-disk array record is the array's raw C-order bytes, base64-encoded
+inline::
+
+    {"__ndarray_b64__": "<base64>", "dtype": "<f8", "shape": [3, 4]}
+
+``dtype`` is ``numpy.dtype.str`` (byte order included), so a checkpoint
+decodes to the same bits on any host.  Base64 costs 4/3 of the raw bytes
+and encodes at memory speed, where the decimal lists of earlier
+checkpoints (``{"__ndarray__": [...], "dtype": "float64", ...}``) cost
+~2.7x the raw bytes and a trip through Python's float printer per value;
+:func:`decode_state` still reads those legacy records, so old checkpoints
+resume unchanged.  Object-dtype arrays have no byte form and raise
+``TypeError`` at encode time.
+
+A checkpoint is one ``checkpoint.json`` written atomically (temp file +
+rename).  Its top-level keys keep their insertion order on disk, so the
+small leading keys ``Runner._checkpoint`` writes first — ``steps_completed``
+and the scheduler ``score`` — sit inside the first 256 bytes, which is all
+the results browser (``checkpoint_head``) reads.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -26,7 +46,8 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-_NDARRAY_KEY = "__ndarray__"
+_NDARRAY_KEY = "__ndarray_b64__"
+_LEGACY_NDARRAY_KEY = "__ndarray__"
 _RNG_KEY = "__np_generator__"
 
 
@@ -89,6 +110,15 @@ def save_json(obj: Any, path: Union[str, Path], compact: bool = False) -> Path:
     whitespace — used for machine-only files like the results browser's
     summary cache, where parse speed and size matter more than diffability.
     """
+    if compact:
+        text = json.dumps(obj, separators=(",", ":"), cls=_NumpyEncoder)
+    else:
+        text = json.dumps(obj, indent=2, cls=_NumpyEncoder)
+    return _write_atomic(path, text)
+
+
+def _write_atomic(path: Union[str, Path], text: str) -> Path:
+    """Write ``text`` to ``path`` through a temp file + rename; return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Per-process *and* per-thread temp name: two sweep workers racing on the
@@ -97,10 +127,7 @@ def save_json(obj: Any, path: Union[str, Path], compact: bool = False) -> Path:
     # place.
     temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     with temporary.open("w", encoding="utf-8") as handle:
-        if compact:
-            json.dump(obj, handle, separators=(",", ":"), cls=_NumpyEncoder)
-        else:
-            json.dump(obj, handle, indent=2, cls=_NumpyEncoder)
+        handle.write(text)
     temporary.replace(path)
     return path
 
@@ -152,13 +179,18 @@ def restore_rng(
 def encode_state(obj: Any) -> Any:
     """Recursively convert a state object into a losslessly JSON-safe form.
 
-    Arrays become ``{"__ndarray__": ..., "dtype": ..., "shape": ...}``
-    records (dtype and shape preserved bit-exactly for the numeric dtypes
-    this codebase uses); generators become their bit-generator state; numpy
-    scalars become Python scalars.  Dict keys must be strings.
+    Arrays become ``{"__ndarray_b64__": ..., "dtype": ..., "shape": ...}``
+    records holding their base64 C-order bytes (see the module docstring);
+    generators become their bit-generator state; numpy scalars become
+    Python scalars.  Dict keys must be strings.
     """
     if isinstance(obj, np.ndarray):
-        return {_NDARRAY_KEY: obj.tolist(), "dtype": str(obj.dtype), "shape": list(obj.shape)}
+        if obj.dtype.hasobject:
+            raise TypeError(f"cannot losslessly encode {obj.dtype} arrays; they have no byte form")
+        # ascontiguousarray turns a 0-d array into shape (1,): the shape is
+        # recorded from the original, the bytes from the C-order copy.
+        data = base64.b64encode(np.ascontiguousarray(obj)).decode("ascii")
+        return {_NDARRAY_KEY: data, "dtype": obj.dtype.str, "shape": list(obj.shape)}
     if isinstance(obj, np.random.Generator):
         return rng_state(obj)
     if isinstance(obj, np.integer):
@@ -188,7 +220,12 @@ def decode_state(obj: Any) -> Any:
     """Inverse of :func:`encode_state` (RNG records decode to fresh generators)."""
     if isinstance(obj, dict):
         if _NDARRAY_KEY in obj:
-            return np.array(obj[_NDARRAY_KEY], dtype=np.dtype(obj["dtype"])).reshape(
+            # The copy owns its (aligned, writable) memory: optimiser steps
+            # update restored parameters in place.
+            raw = np.frombuffer(base64.b64decode(obj[_NDARRAY_KEY]), dtype=np.dtype(obj["dtype"]))
+            return raw.reshape(tuple(obj["shape"])).copy()
+        if _LEGACY_NDARRAY_KEY in obj:
+            return np.array(obj[_LEGACY_NDARRAY_KEY], dtype=np.dtype(obj["dtype"])).reshape(
                 tuple(obj["shape"])
             )
         if _RNG_KEY in obj:
@@ -203,15 +240,11 @@ def save_checkpoint(state: Any, path: Union[str, Path]) -> Path:
     """Encode ``state`` losslessly and write it to ``path`` as JSON.
 
     The file is written atomically (temp file + rename) so a run killed
-    mid-checkpoint never leaves a truncated checkpoint behind.
+    mid-checkpoint never leaves a truncated checkpoint behind.  One
+    ``json.dumps`` call renders it: the C encoder handles the long base64
+    strings far faster than ``json.dump``'s chunked pure-Python path.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    with temporary.open("w", encoding="utf-8") as handle:
-        json.dump(encode_state(state), handle)
-    temporary.replace(path)
-    return path
+    return _write_atomic(path, json.dumps(encode_state(state)))
 
 
 def load_checkpoint(path: Union[str, Path]) -> Any:

@@ -41,17 +41,41 @@ from repro.utils.serialization import (
 # ----------------------------------------------------------------------
 class TestStateSerialization:
     def test_ndarray_roundtrip_preserves_dtype_shape_and_bits(self, tmp_path):
+        grid = np.arange(24.0).reshape(4, 6)
         arrays = {
             "f64": np.random.default_rng(0).normal(size=(3, 4)),
-            "i64": np.arange(7, dtype=np.int64),
+            "f32": np.random.default_rng(1).normal(size=(2, 5)).astype(np.float32),
+            "i64": np.arange(-3, 4, dtype=np.int64),
+            "bool": np.array([[True, False], [False, True]]),
             "scalar_shape": np.array(3.25),
             "empty": np.zeros((0, 2)),
+            "non_contiguous": grid[::2, 1::2],
+            "fortran": np.asfortranarray(grid),
         }
         loaded = load_checkpoint(save_checkpoint(arrays, tmp_path / "arrays.json"))
         for key, original in arrays.items():
-            assert loaded[key].dtype == original.dtype
-            assert loaded[key].shape == original.shape
-            assert np.array_equal(loaded[key], original)
+            assert loaded[key].dtype == original.dtype, key
+            assert loaded[key].shape == original.shape, key
+            assert loaded[key].tobytes() == original.tobytes(), key
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        loaded = load_checkpoint(save_checkpoint({"w": np.ones((2, 3))}, tmp_path / "w.json"))
+        loaded["w"] += 1.0  # optimiser steps update restored parameters in place
+        assert np.array_equal(loaded["w"], np.full((2, 3), 2.0))
+
+    def test_object_arrays_rejected_at_encode_time(self):
+        with pytest.raises(TypeError, match="object"):
+            encode_state({"bad": np.array([{"a": 1}, None], dtype=object)})
+
+    def test_checkpoint_size_stays_binary(self, tmp_path):
+        """100k float64 values (800 KB raw) stay within base64's 4/3 overhead.
+
+        Decimal lists took ~2.7x the raw bytes; this fences a regression
+        back to them without timing anything.
+        """
+        values = np.random.default_rng(0).normal(size=100_000)
+        path = save_checkpoint({"steps_completed": 1, "w": values}, tmp_path / "big.json")
+        assert path.stat().st_size < 1.4 * 800_000
 
     def test_rng_roundtrip_continues_identically(self, tmp_path):
         rng = np.random.default_rng(123)
@@ -651,6 +675,75 @@ class TestRunnerFlows:
         report = runner.report()
         assert "Baseline (No penalty) + HW" in report
         assert "RL co-exploration" in report
+
+
+# ----------------------------------------------------------------------
+# Checkpoint files on disk (format, legacy loading, head, write count)
+# ----------------------------------------------------------------------
+def _legacy_records(obj):
+    """Rewrite binary array records as the decimal-list records of older checkpoints."""
+    if isinstance(obj, dict):
+        if "__ndarray_b64__" in obj:
+            array = decode_state(obj)
+            shape = list(array.shape)
+            return {"__ndarray__": array.tolist(), "dtype": str(array.dtype), "shape": shape}
+        return {key: _legacy_records(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_legacy_records(item) for item in obj]
+    return obj
+
+
+class TestCheckpointFiles:
+    def test_legacy_decimal_checkpoint_resumes_bit_identically(self, tmp_path):
+        config = ExperimentConfig(method="dance", seed=0, **TINY_RUN)
+        uninterrupted = Runner(base_dir=tmp_path / "a").run(config)
+
+        runner = Runner(base_dir=tmp_path / "b")
+        assert runner.run(config, max_steps=1) is None
+        checkpoint = runner.workdir_for(config) / "checkpoint.json"
+        legacy = _legacy_records(json.loads(checkpoint.read_text(encoding="utf-8")))
+        checkpoint.write_text(json.dumps(legacy), encoding="utf-8")
+        assert "__ndarray_b64__" not in checkpoint.read_text(encoding="utf-8")
+
+        resumed = runner.resume()
+        _assert_results_bit_identical(uninterrupted, resumed)
+
+    def test_checkpoint_head_parses_from_first_256_bytes(self, tmp_path):
+        from repro.experiments.browser.run_summary import checkpoint_head
+        from repro.experiments.schedulers import rung_score
+
+        config = ExperimentConfig(method="dance", seed=0, **TINY_RUN)
+        runner = Runner(base_dir=tmp_path)
+        assert runner.run(config, max_steps=2) is None
+        checkpoint = runner.workdir_for(config) / "checkpoint.json"
+        head = tmp_path / "head.json"
+        head.write_bytes(checkpoint.read_bytes()[:256])
+
+        steps, score = checkpoint_head(head)
+        saved = load_checkpoint(checkpoint)
+        assert steps == saved["steps_completed"] == 2
+        assert score is not None
+        assert score == saved["score"] == rung_score(saved["state"]["history"][-1])
+
+    def test_pause_after_checkpointed_step_writes_once(self, tmp_path, monkeypatch):
+        from repro.experiments import runner as runner_module
+
+        writes = []
+        original = runner_module.save_checkpoint
+
+        def counting(state, path):
+            writes.append(state["steps_completed"])
+            return original(state, path)
+
+        monkeypatch.setattr(runner_module, "save_checkpoint", counting)
+        config = ExperimentConfig(method="baseline", seed=0, retrain_final=False, **TINY_RUN)
+        runner = Runner(base_dir=tmp_path)
+        assert runner.run(config, max_steps=1) is None
+        assert writes == [1]  # the step's checkpoint; the pause adds none
+
+        # A pause with no step checkpointed in this call still writes one.
+        assert runner.run(config.replace(checkpoint_every=0), max_steps=1) is None
+        assert writes == [1, 1]
 
 
 # ----------------------------------------------------------------------
