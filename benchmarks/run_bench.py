@@ -315,8 +315,8 @@ def main() -> int:
     # Weight-gradient contraction: the legacy einsum vs the plan-tier
     # ``ConvPlan.grad_weight`` on the same depthwise geometry, at float32 —
     # the regime where the plan tier switches to the per-sample batched
-    # matmul fast form.  (At float64 both sides are the identical einsum by
-    # design: the accumulation order is the bit-identity contract.)
+    # matmul fast form.  (At float64 the plan tier makes the matmul einsum
+    # itself makes: the accumulation order is the bit-identity contract.)
     cols32 = plan.im2col(conv_x.astype(np.float32)).reshape(
         conv_batch, conv_channels, conv_kernel * conv_kernel, positions
     )

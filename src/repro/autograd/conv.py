@@ -8,20 +8,22 @@ Tensor, using im2col so the heavy lifting happens inside numpy matmuls.
 
 Three raw-speed tiers sit on the hot path (see ``docs/performance.md``):
 
-* **Cached index plans** — im2col/col2im *and the weight-gradient
-  contraction* route through the :mod:`repro.autograd.plans` cache: one
-  precomputed gather per forward, one bincount scatter-add per backward and
-  a plan-owned ``grad_weight`` over the same cached columns, bit-identical
-  to the historical stride-trick/loop/einsum reference (kept below as
-  ``_im2col``/``_col2im`` and the ``_grad_weight_contract`` fallback for
-  the benchmark baseline, the parity tests and the ``plans_enabled`` kill
-  switch).  1x1/stride-1/pad-0 geometries use zero-copy trivial plans.
+* **Cached index plans** — im2col/col2im *and the contractions* route
+  through the :mod:`repro.autograd.plans` cache: one precomputed gather per
+  forward, written straight into the layout ``matmul`` consumes, the
+  ``matmul`` calls numpy's einsum would make (same operand strides, so the
+  same BLAS accumulation order), and one bincount scatter-add per backward.
+  All of it is bit-identical to the historical stride-trick/loop/einsum
+  reference, kept below as ``_im2col``/``_col2im`` and the einsum fallbacks
+  of the ``*_contract`` helpers: the plans-disabled lowering, the parity
+  oracle of the tests.  1x1/stride-1/pad-0 geometries use zero-copy trivial
+  plans.
 * **Precision policy** — kernels compute in the tensors' dtype (the
   :mod:`repro.autograd.precision` policy).  At the float64 default the
-  contractions are the exact legacy einsums; under the opt-in float32
-  training policy they switch to the faster batched-``matmul`` forms, which
-  are tolerance-equal, not bit-equal — acceptable by construction, since
-  float32 training is itself a tolerance regime.
+  contractions round exactly as the legacy einsums; under the opt-in
+  float32 training policy they switch to the faster batched-``matmul``
+  forms, which are tolerance-equal, not bit-equal — acceptable by
+  construction, since float32 training is itself a tolerance regime.
 * **Batch threading** — ``REPRO_NUM_THREADS=N`` chunks the conv2d batch axis
   over a thread pool (:mod:`repro.autograd.parallel`); off by default.
 
@@ -114,10 +116,11 @@ def _lower(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    groups: int = 1,
 ) -> Tuple[np.ndarray, Tuple[int, int], Optional[ConvPlan]]:
     """im2col via the cached plan (or the stride-trick path when disabled)."""
     if plans_enabled():
-        plan = get_plan(x.shape, kernel, stride, padding)
+        plan = get_plan(x.shape, kernel, stride, padding, groups)
         return plan.im2col(x), plan.out_hw, plan
     cols, out_hw = _im2col(x, kernel, stride, padding)
     return cols, out_hw, None
@@ -139,10 +142,10 @@ def _fold(
 
 
 # ----------------------------------------------------------------------
-# Grouped contractions: plan-routed weight grad, float32 matmul fast paths
+# Grouped contractions: plan-routed at float64, float32 matmul fast paths
 # ----------------------------------------------------------------------
 def _forward_contract(weight_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
-    """(g, o, k) x (n, g, k, l) -> (n, g, o, l)."""
+    """(g, o, k) x (n, g, k, l) -> (n, g, o, l) over legacy-layout columns."""
     if is_fast_dtype(weight_grouped, cols_grouped):
         return np.matmul(weight_grouped[None], cols_grouped)
     return np.einsum("gok,ngkl->ngol", weight_grouped, cols_grouped, optimize=True)
@@ -155,20 +158,22 @@ def _grad_weight_contract(
 ) -> np.ndarray:
     """(n, g, o, l) x (n, g, k, l) -> (g, o, k).
 
-    With a live plan (and the kill switch on) the contraction is owned by
-    :meth:`ConvPlan.grad_weight` — the plan tier's float64 form is the legacy
-    einsum verbatim, so the routing is bit-transparent; the plans-disabled
-    fallback keeps the historical expressions below so ``plans_enabled(False)``
-    reverts the *entire* lowering, weight gradient included.
+    Columns a plan gathered go back through that plan's
+    :meth:`ConvPlan.grad_weight`, whatever their layout; the historical
+    expressions below serve the plans-disabled lowering.
     """
-    if plan is not None and plans_enabled():
+    if plan is not None:
         return plan.grad_weight(grad_grouped, cols_grouped)
     if is_fast_dtype(grad_grouped, cols_grouped):
         return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
     return np.einsum("ngol,ngkl->gok", grad_grouped, cols_grouped, optimize=True)
 
 
-def _grad_cols_contract(weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
+def _grad_cols_contract(
+    weight_grouped: np.ndarray,
+    grad_grouped: np.ndarray,
+    plan: Optional[ConvPlan] = None,
+) -> np.ndarray:
     """(g, o, k) x (n, g, o, l) -> (n, g, k, l)."""
     if weight_grouped.shape[1] == 1:
         # Depthwise (one output channel per group): the o-contraction has a
@@ -178,6 +183,8 @@ def _grad_cols_contract(weight_grouped: np.ndarray, grad_grouped: np.ndarray) ->
         return np.swapaxes(weight_grouped, -1, -2)[None] * grad_grouped
     if is_fast_dtype(weight_grouped, grad_grouped):
         return np.matmul(np.swapaxes(weight_grouped, -1, -2)[None], grad_grouped)
+    if plan is not None:
+        return plan.grad_columns(weight_grouped, grad_grouped)
     return np.einsum("gok,ngol->ngkl", weight_grouped, grad_grouped, optimize=True)
 
 
@@ -223,12 +230,17 @@ def conv2d(
             x, weight, bias, stride, padding, groups, kernel, weight_grouped, spans
         )
 
-    cols, (out_h, out_w), plan = _lower(x.data, kernel, stride, padding)
-
     # One batched contraction over a groups axis replaces the per-group loop;
     # with groups == 1 this degenerates to the plain im2col matmul.
-    cols_grouped = cols.reshape(n, groups, group_in * kh * kw, out_h * out_w)
-    out = _forward_contract(weight_grouped, cols_grouped)
+    if plans_enabled() and not is_fast_dtype(weight_grouped, x.data):
+        plan = get_plan(x.shape, kernel, stride, padding, groups)
+        out_h, out_w = plan.out_hw
+        cols_grouped = plan.columns(x.data)
+        out = plan.forward(cols_grouped, weight_grouped)
+    else:
+        cols, (out_h, out_w), plan = _lower(x.data, kernel, stride, padding, groups)
+        cols_grouped = cols.reshape(n, groups, group_in * kh * kw, out_h * out_w)
+        out = _forward_contract(weight_grouped, cols_grouped)
     out_data = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -253,7 +265,7 @@ def conv2d(
                     )
                 )
                 return
-            grad_cols = _grad_cols_contract(weight_grouped, grad_grouped)
+            grad_cols = _grad_cols_contract(weight_grouped, grad_grouped, plan)
             grad_cols_flat = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
             x._accumulate(
                 _fold(grad_cols_flat, (n, c, h, w), kernel, stride, padding, (out_h, out_w), plan)
@@ -291,7 +303,7 @@ def _conv2d_threaded(
 
     def forward_chunk(span: Tuple[int, int]):
         start, stop = span
-        cols, out_hw, plan = _lower(x.data[start:stop], kernel, stride, padding)
+        cols, out_hw, plan = _lower(x.data[start:stop], kernel, stride, padding, groups)
         cols_grouped = cols.reshape(
             stop - start, groups, group_in * kh * kw, out_hw[0] * out_hw[1]
         )

@@ -1,58 +1,63 @@
-"""Cached convolution index plans (the im2col/col2im raw-speed tier).
+"""Cached convolution plans (the im2col/col2im raw-speed tier).
 
 Every convolution in the supernet lowers to im2col + GEMM; the backward pass
-folds the column gradient back with col2im.  The historical ``_col2im`` is a
-``kh x kw`` Python loop of strided adds — the profiled hot spot of supernet
-training (see ROADMAP, "raw-speed tier").  But search-space shapes are
-*static*: the same ``(input_shape, kernel, stride, padding)`` tuples recur on
-every training step, so the index arithmetic can be done once and cached.
+folds the column gradient back with col2im.  Search-space shapes are
+*static*: the same ``(input_shape, kernel, stride, padding, groups)`` tuples
+recur on every training step, so the index arithmetic is done once and
+cached.  A :class:`ConvPlan` precomputes
 
-A :class:`ConvPlan` precomputes
+* ``gather_index`` — for every ``(kernel tap, output position)`` pair, the
+  flat index into one channel plane.  Taps that land in the padding read a
+  zero sentinel row appended below the plane, so im2col is one ``take``
+  with no ``np.pad`` copy.
+* ``matmul_index`` — the same map expanded over a group's input channels and
+  transposed to ``(output position, column)``.  The float64 forward gathers
+  the columns straight into the ``(g, n*L, k)`` operand ``matmul`` consumes.
+* ``scatter_index`` — the padded-plane map expanded over the channel axis.
+  col2im becomes one ``np.bincount`` scatter-add per sample instead of a
+  ``kh x kw`` Python loop of strided adds.
 
-* ``gather_index`` — for every ``(kernel position, output position)`` pair,
-  the flat spatial index into the padded input.  im2col becomes one
-  ``take`` instead of a strided 6-D transpose copy.
-* ``scatter_index`` — the same map expanded over the channel axis, offset
-  per channel.  col2im becomes one ``np.bincount`` scatter-add per sample
-  instead of the ``kh x kw`` Python loop.
+The float64 contractions (forward, weight gradient, column gradient) are
+the ``matmul`` calls numpy's ``einsum(optimize=True)`` makes for the legacy
+einsum expressions, on operands with the exact shapes and strides einsum
+would pass (:func:`_bmm_lowering`).  BLAS picks its kernel and accumulation
+order from those strides, so this is bit-identical to the legacy lowering.
+What it removes is einsum's own work: recomputing the contraction path on
+every call, and the reshape copy that transposes im2col columns into the
+matmul layout — the gather writes that layout directly.  The output is the
+same strided view einsum returns (for ``g = 1``, NCHW shape over NHWC
+memory): downstream BatchNorm reductions round by memory order, so a
+contiguous copy would change results in the last ulp.
 
-Two refinements close the backward hot path (ROADMAP "next rungs"):
+Three more pieces complete the tier:
 
 * **Trivial plans** — a 1x1/stride-1/pad-0 convolution (every MBConv
   expand/project pointwise) has an *identity* gather: its columns are the
-  input reshaped.  :attr:`ConvPlan.trivial` short-circuits im2col to a
-  zero-copy reshape and col2im to the inverse reshape (each padded pixel
-  receives exactly one contribution, so the bincount degenerates to the
-  value itself) — bit-identical by construction, and it removes the largest
-  allocations of the pointwise forward and backward.
-* **Plan-tier weight gradients** — :meth:`ConvPlan.grad_weight` owns the
-  ``(n, g, o, l) x (n, g, k, l) -> (g, o, k)`` contraction over the same
-  cached columns the input gradient reuses.  At float64 it is the legacy
-  einsum verbatim (same accumulation order, bit-identical); at float32 it
-  switches to the per-sample batched-``matmul`` fast form (~3x on the
-  depthwise bench geometry, tolerance-equal — float32 is itself a
-  tolerance regime).
+  input reshaped, and col2im is the inverse reshape.
+* **Depthwise fold** — :meth:`ConvPlan.col2im_outer` folds the outer-product
+  column gradient tap by tap, without materialising it, and skips taps and
+  output rows that land only in the padding.
+* **float32** keeps the batched-``matmul`` fast forms over the legacy column
+  layout — tolerance-equal, which is that regime's contract.
 
-Bit-identity: im2col is a pure reordering (no arithmetic), and the bincount
-scatter adds each output pixel's contributions in exactly the (i, j)
-ascending order of the historical loop (``np.bincount`` accumulates its
-weights sequentially, and within one kernel offset each pixel receives at
-most one contribution), so both paths are bit-for-bit identical to the
-stride-trick reference at any dtype — asserted by ``tests/test_conv_plans.py``
-and fenced by the golden-run suites.  The per-*sample* bincount partition is
-equally exact because every output bin only ever receives contributions from
-a single (sample, channel) pair.
+Bit-identity: im2col is a pure reordering (no arithmetic), and both folds add
+each pixel's contributions in exactly the (i, j) ascending order of the
+historical loop, so the plan tier is bit-for-bit identical to the
+stride-trick/loop/einsum reference at float64 — asserted by
+``tests/test_conv_plans.py`` and fenced by the golden-run suites.
 
 Plans are kept in a bounded LRU keyed on the shape tuple;
-:func:`set_plans_enabled` switches the whole tier off (the benchmark harness
-uses this to time the legacy path, and it doubles as a kill switch).
+:func:`set_plans_enabled` switches the whole tier off (the legacy lowering is
+the parity oracle of the tests and the benchmark "before").
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -82,12 +87,155 @@ def set_plans_enabled(enabled: bool) -> bool:
     return previous
 
 
+# ----------------------------------------------------------------------
+# einsum's pairwise lowering, replayed as explicit matmul calls
+# ----------------------------------------------------------------------
+class _Operand(NamedTuple):
+    """How one operand of a pairwise contraction reaches ``matmul``."""
+
+    drop: Tuple[int, ...]  # size-1 axes squeezed away
+    perm: Tuple[int, ...]  # order of the remaining axes
+    spec: str  # the same squeeze + permutation as a one-operand einsum
+    shape: Optional[Tuple[int, ...]]  # reshape target, None when there is none
+    fused: bool  # whether that reshape merges two or more axes
+
+
+class _Lowering(NamedTuple):
+    a: _Operand
+    b: _Operand
+    out_shape: Optional[Tuple[int, ...]]
+    out_perm: Optional[Tuple[int, ...]]
+    pure: bool  # no contracted axis: a broadcast multiply instead of matmul
+
+
+def _operand(term: str, kept: str, shape=None, fused: bool = False) -> _Operand:
+    rest = [ix for ix in term if ix in kept]
+    return _Operand(
+        tuple(axis for axis, ix in enumerate(term) if ix not in kept),
+        tuple(rest.index(ix) for ix in kept),
+        f"{term}->{kept}",
+        shape,
+        fused,
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _bmm_lowering(eq: str, shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -> _Lowering:
+    """The ``matmul`` numpy's ``einsum(eq, a, b, optimize=True)`` makes.
+
+    numpy (``bmm_einsum``) ignores size-1 axes, permutes the operands to
+    ``(batch, kept, contracted)`` and ``(batch, contracted, kept)``, fuses
+    each group with a reshape (a copy when the permuted view cannot be
+    fused), calls ``matmul`` once, and reshapes and transposes the product
+    back to the output subscripts.  With no contracted axis it broadcasts
+    both operands to the output order and multiplies.  This replays those
+    decisions for the convolution equations, where every subscript appears
+    in the output or in both operands.
+    """
+    lhs, out = eq.split("->")
+    a_term, b_term = lhs.split(",")
+    sizes = {**dict(zip(a_term, shape_a)), **dict(zip(b_term, shape_b))}
+    a_live = [ix for ix in a_term if sizes[ix] != 1]
+    b_live = [ix for ix in b_term if sizes[ix] != 1]
+    con = [ix for ix in a_live if ix in b_live and ix not in out]
+    if not con:
+
+        def broadcast(term: str) -> _Operand:
+            kept = "".join(ix for ix in out if ix in term)
+            return _operand(term, kept, tuple(sizes[ix] if ix in term else 1 for ix in out))
+
+        return _Lowering(broadcast(a_term), broadcast(b_term), None, None, True)
+
+    bat = [ix for ix in a_live if ix in b_live and ix in out]
+    a_keep = [ix for ix in a_live if ix not in b_live]
+    b_keep = [ix for ix in b_live if ix not in a_live]
+    lead = (bat,) if bat else ()
+
+    def fuse(term: str, groups) -> _Operand:
+        kept = "".join(ix for group in groups for ix in group)
+        if all(len(group) == 1 for group in groups):
+            return _operand(term, kept)
+        shape = tuple(math.prod(sizes[ix] for ix in group) for group in groups)
+        return _operand(term, kept, shape, any(len(group) > 1 for group in groups))
+
+    out_groups = lead + (a_keep, b_keep)
+    singletons = [ix for ix in out if sizes[ix] == 1]
+    out_shape = None
+    if singletons or any(len(group) != 1 for group in out_groups):
+        out_shape = (1,) * len(singletons) + tuple(
+            sizes[ix] for group in out_groups for ix in group
+        )
+    produced = "".join(singletons + bat + a_keep + b_keep)
+    out_perm = None if produced == out else tuple(produced.index(ix) for ix in out)
+    return _Lowering(
+        fuse(a_term, lead + (a_keep, con)),
+        fuse(b_term, lead + (con, b_keep)),
+        out_shape,
+        out_perm,
+        False,
+    )
+
+
+def _is_compact(view: np.ndarray) -> bool:
+    """Whether ``view`` is a permutation of a C-contiguous array."""
+    return view.transpose(np.argsort(view.strides)[::-1]).flags.c_contiguous
+
+
+def _prepare(x: np.ndarray, op: _Operand, columns: bool = False) -> np.ndarray:
+    """The array einsum hands ``matmul`` for one operand.
+
+    einsum copies an operand whose size-1 axes it squeezes; the copy keeps
+    the source's memory order, so for a compact source the squeezed view has
+    the same strides and no copy is made.  ``columns`` marks im2col columns:
+    einsum fuses the legacy contiguous ``(n, g, k, l)`` columns only by
+    copying, so a fused columns operand is handed over C-contiguous whatever
+    layout the gather wrote.
+    """
+    if op.drop:
+        view = np.squeeze(x, axis=op.drop).transpose(op.perm)
+        if not _is_compact(view):
+            view = np.einsum(op.spec, x)  # einsum's own squeeze copy
+    else:
+        view = x.transpose(op.perm)
+    if op.shape is not None:
+        view = view.reshape(op.shape)
+        if columns and op.fused:
+            view = np.ascontiguousarray(view)
+    return view
+
+
+def _bmm(eq: str, a: np.ndarray, b: np.ndarray, columns: bool = False) -> np.ndarray:
+    """``np.einsum(eq, a, b, optimize=True)`` as the ``matmul`` it makes.
+
+    ``eq`` lists the operands in the order einsum contracts them, which for
+    two operands is the reverse of the order they are written in.
+    """
+    lowering = _bmm_lowering(eq, a.shape, b.shape)
+    a = _prepare(a, lowering.a, columns)
+    b = _prepare(b, lowering.b)
+    if lowering.pure:
+        return np.multiply(a, b)
+    product = np.matmul(a, b)
+    if lowering.out_shape is not None:
+        product = product.reshape(lowering.out_shape)
+    if lowering.out_perm is not None:
+        product = product.transpose(lowering.out_perm)
+    return product
+
+
+def _inside(offset: int, stride: int, count: int, size: int) -> Tuple[int, int]:
+    """Output positions ``[lo, hi)`` whose tap ``offset + stride * r`` is in ``[0, size)``."""
+    lo = max(0, -(offset // stride))
+    hi = min(count, (size - 1 - offset) // stride + 1)
+    return lo, hi
+
+
 class ConvPlan:
     """Precomputed index maps for one convolution geometry.
 
     Parameters mirror the lowering: ``input_shape`` is the full NCHW shape
     (the batch size participates only in the im2col/col2im reshapes, not in
-    the index maps, which depend on channels and spatial geometry).
+    the index maps, which depend on channels, groups and spatial geometry).
     """
 
     __slots__ = (
@@ -95,9 +243,11 @@ class ConvPlan:
         "kernel",
         "stride",
         "padding",
+        "groups",
         "out_hw",
         "padded_hw",
         "gather_index",
+        "matmul_index",
         "scatter_index",
         "scatter_bins",
         "trivial",
@@ -109,6 +259,7 @@ class ConvPlan:
         kernel: Tuple[int, int],
         stride: Tuple[int, int],
         padding: Tuple[int, int],
+        groups: int = 1,
     ) -> None:
         n, c, h, w = input_shape
         kh, kw = kernel
@@ -126,46 +277,130 @@ class ConvPlan:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
+        self.groups = groups
         self.out_hw = (out_h, out_w)
         self.padded_hw = (pad_h, pad_w)
         # 1x1/stride-1/pad-0: the gather is the identity permutation, so
-        # im2col/col2im are pure reshapes (see im2col/col2im below).
+        # im2col/col2im are pure reshapes and no index map is built.
         self.trivial = kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
-        # (kh, kw, out_h, out_w) -> flat padded spatial index, flattened in
-        # exactly the (c, kh, kw, l) column order of the stride-trick path.
-        rows = np.arange(kh)[:, None, None, None] + sh * np.arange(out_h)[None, None, :, None]
-        cols = np.arange(kw)[None, :, None, None] + sw * np.arange(out_w)[None, None, None, :]
-        self.gather_index = (rows * pad_w + cols).reshape(-1).astype(np.intp)
-        # Channel-expanded scatter map: bin (channel, padded pixel).  The
-        # batch axis is handled by a per-sample bincount, which keeps the
-        # index memory O(C * kh * kw * L) instead of O(N * C * kh * kw * L).
-        spatial = pad_h * pad_w
-        self.scatter_bins = c * spatial
+        self.gather_index = self.matmul_index = self.scatter_index = None
+        self.scatter_bins = c * pad_h * pad_w
+        if self.trivial:
+            return
+        length = out_h * out_w
+        # (kh, kw, out_h, out_w) input coordinates of every tap, unpadded.
+        rows = np.arange(kh)[:, None, None, None] + sh * np.arange(out_h)[None, None, :, None] - ph
+        cols = np.arange(kw)[None, :, None, None] + sw * np.arange(out_w)[None, None, None, :] - pw
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        # Padding taps read the first cell of the zero row below the plane.
+        taps = np.where(inside, rows * w + cols, h * w).reshape(kh * kw, length)
+        self.gather_index = taps.astype(np.intp)
+        plane = (h + 1) * w if (ph or pw) else h * w
+        group_in = c // groups
+        per_group = np.arange(group_in, dtype=np.intp)[:, None, None] * plane + self.gather_index
+        self.matmul_index = np.ascontiguousarray(per_group.transpose(2, 0, 1)).reshape(
+            length, group_in * kh * kw
+        )
+        # Channel-expanded scatter map over the padded planes: bin (channel,
+        # padded pixel).  The batch axis is handled by a per-sample bincount,
+        # which keeps the index memory O(C * kh * kw * L).
+        padded_taps = ((rows + ph) * pad_w + (cols + pw)).reshape(-1)
         self.scatter_index = (
-            np.arange(c, dtype=np.intp)[:, None] * spatial + self.gather_index[None, :]
+            np.arange(c, dtype=np.intp)[:, None] * (pad_h * pad_w) + padded_taps[None, :]
         ).reshape(-1)
 
     # ------------------------------------------------------------------
+    def fuses_columns(self, n: int) -> bool:
+        """Whether the float64 forward fuses the columns' batch and position axes.
+
+        einsum fuses ``(n, l)`` into matmul's row axis when both have more
+        than one element and a contraction axis is left (``k > 1``); this is
+        the one rule that chooses the column layout.  When it fuses, the
+        gather writes the ``(g, n, l, k)`` layout of that fused operand.
+        Otherwise einsum passes matmul strided views of the legacy
+        contiguous ``(n, g, k, l)`` columns, so the gather writes those.
+        """
+        c = self.input_shape[1]
+        taps = (c // self.groups) * self.kernel[0] * self.kernel[1]
+        return n > 1 and self.out_hw[0] * self.out_hw[1] > 1 and taps > 1
+
+    def _source(self, x: np.ndarray, group_major: bool) -> np.ndarray:
+        """``x`` as ``(n, g, c/g, rows, w)`` planes (``g`` first if ``group_major``),
+        with a zero sentinel row below every plane when the geometry is padded."""
+        n, c, h, w = x.shape
+        grouped = x.reshape(n, self.groups, c // self.groups, h, w)
+        if group_major:
+            grouped = grouped.transpose(1, 0, 2, 3, 4)
+        if self.padding == (0, 0):
+            return np.ascontiguousarray(grouped)
+        source = np.empty(grouped.shape[:3] + (h + 1, w), dtype=x.dtype)
+        source[..., :h, :] = grouped
+        source[..., h, :] = 0
+        return source
+
     def im2col(self, x: np.ndarray) -> np.ndarray:
-        """Unfold ``x`` (N, C, H, W) into (N, C*kh*kw, out_h*out_w) columns.
+        """Unfold ``x`` (N, C, H, W) into contiguous (N, C*kh*kw, out_h*out_w) columns.
 
         Trivial plans skip the gather: the columns of a 1x1/s1/p0 convolution
-        *are* the input, so the result is a zero-copy reshape (made
-        contiguous first, so downstream einsums see the exact memory layout
-        the gather would have produced — einsum dispatch, and therefore its
-        float accumulation order, is layout-sensitive).
+        *are* the input, so the result is a zero-copy reshape of a contiguous
+        input.
         """
         n, c, h, w = x.shape
-        kh, kw = self.kernel
-        ph, pw = self.padding
         if self.trivial:
             return np.ascontiguousarray(x).reshape(n, c, h * w)
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        out_h, out_w = self.out_hw
-        flat = x.reshape(n * c, self.padded_hw[0] * self.padded_hw[1])
-        cols = flat.take(self.gather_index, axis=1)
-        return cols.reshape(n, c * kh * kw, out_h * out_w)
+        taps, length = self.gather_index.shape
+        planes = self._source(x, group_major=False).reshape(n, c, -1)
+        return planes.take(self.gather_index, axis=2).reshape(n, c * taps, length)
+
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """im2col for the float64 contractions: logical ``(n, g, k, l)`` columns.
+
+        The memory layout follows :meth:`fuses_columns`: ``(g, n, l, k)``
+        (one ``take`` over group-major planes) when the forward fuses, the
+        legacy contiguous layout otherwise.  A fusing trivial plan returns a
+        view of ``x`` itself; :func:`_prepare` makes it contiguous only for
+        the contraction that needs it, so an NHWC-strided input feeds the
+        forward without any copy.
+        """
+        n, c, h, w = x.shape
+        g = self.groups
+        length = self.out_hw[0] * self.out_hw[1]
+        k = (c // g) * self.kernel[0] * self.kernel[1]
+        if not self.fuses_columns(n):
+            return self.im2col(x).reshape(n, g, k, length)
+        if self.trivial:
+            return x.reshape(n, g, k, length)
+        planes = self._source(x, group_major=True).reshape(g, n, -1)
+        return planes.take(self.matmul_index, axis=2).transpose(1, 0, 3, 2)
+
+    def forward(self, cols: np.ndarray, weight_grouped: np.ndarray) -> np.ndarray:
+        """``(n, g, k, l) x (g, o, k) -> (n, g, o, l)``, float64.
+
+        The einsum's strided output view, e.g. NCHW over NHWC memory for
+        ``g = 1`` — not a contiguous copy.
+        """
+        return _bmm("ngkl,gok->ngol", cols, weight_grouped, columns=True)
+
+    def grad_weight(self, grad_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
+        """Weight-gradient contraction ``(n,g,o,l) x (n,g,k,l) -> (g,o,k)``.
+
+        The plan tier owns the contraction so the weight gradient reuses the
+        cached gather columns (for trivial plans, a view of the forward input).
+
+        * **float64** — einsum's own matmul over the same operands, so the
+          accumulation order (the golden bit-identity contract) is unchanged.
+        * **float32** — per-sample batched ``matmul`` + sum over the batch
+          axis, ~3x faster than the einsum on the depthwise bench geometry
+          (``conv_bwd_weight`` bench key); tolerance-equal, which is the
+          float32 regime's contract.
+        """
+        if is_fast_dtype(grad_grouped, cols_grouped):
+            return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
+        return _bmm("ngkl,ngol->gok", cols_grouped, grad_grouped, columns=True)
+
+    def grad_columns(self, weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
+        """Column gradient ``(g, o, k) x (n, g, o, l) -> (n, g, k, l)``, float64."""
+        return _bmm("ngol,gok->ngkl", grad_grouped, weight_grouped)
 
     def col2im(self, cols: np.ndarray) -> np.ndarray:
         """Fold (N, C*kh*kw, L) columns back to (N, C, H, W), accumulating.
@@ -204,13 +439,15 @@ class ConvPlan:
         ``(N, C*kh*kw, L)`` array just to fold it again is the single
         biggest allocation of the backward pass.  This loops over the
         ``kh*kw`` kernel taps instead, computing each tap's product into one
-        reused cache-sized buffer and adding it in a channels-*last* layout,
-        so every add runs over contiguous channel runs instead of the short
-        strided rows of the NCHW loop.
+        reused buffer and adding it into an unpadded channels-*last* image,
+        so every add runs over contiguous channel runs.  Each tap is clipped
+        to the output positions that land inside the image; taps that land
+        only in the padding are skipped.
 
         Bit-identity with the legacy ``einsum + _col2im`` pair: each product
-        is a single rounding, and each output pixel accumulates its taps in
-        the same ascending ``(i, j)`` order as the historical loop.
+        is a single rounding, and each image pixel accumulates its taps in
+        the same ascending ``(i, j)`` order as the historical loop — only
+        padding cells, which the legacy fold discards, are left out.
         """
         n = grad.shape[0]
         c, h, w = self.input_shape[1:]
@@ -218,44 +455,26 @@ class ConvPlan:
         sh, sw = self.stride
         ph, pw = self.padding
         out_h, out_w = self.out_hw
-        pad_h, pad_w = self.padded_hw
         dtype = np.result_type(weight, grad)
         # (n, out_h, out_w, c): channel axis contiguous for the tap adds.
         grad_t = np.ascontiguousarray(
             grad.reshape(n, c, out_h, out_w).transpose(0, 2, 3, 1), dtype=dtype
         )
         weight_t = np.ascontiguousarray(weight.T, dtype=dtype)  # (kh*kw, c)
-        padded = np.zeros((n, pad_h, pad_w, c), dtype=dtype)
+        image = np.zeros((n, h, w, c), dtype=dtype)
         product = np.empty_like(grad_t)
         for tap in range(kh * kw):
             i, j = divmod(tap, kw)
-            np.multiply(weight_t[tap], grad_t, out=product)
-            padded[:, i : i + sh * out_h : sh, j : j + sw * out_w : sw, :] += product
-        folded = padded.transpose(0, 3, 1, 2)
-        if ph or pw:
-            folded = folded[:, :, ph : ph + h, pw : pw + w]
-        return np.ascontiguousarray(folded)
-
-    def grad_weight(self, grad_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
-        """Weight-gradient contraction ``(n,g,o,l) x (n,g,k,l) -> (g,o,k)``.
-
-        The plan tier owns the contraction so the weight gradient reuses the
-        cached gather columns (for trivial plans, a *view* of the forward
-        input — no column tensor is ever re-materialised) and so the
-        ``plans_enabled`` kill switch covers the whole backward.
-
-        * **float64** — the legacy einsum verbatim.  Its accumulation order
-          is the bit-identity contract fenced by the golden suites; probing
-          every layout/transpose alternative found nothing faster that keeps
-          the same rounding, so the exact expression stays.
-        * **float32** — per-sample batched ``matmul`` + sum over the batch
-          axis, ~3x faster than the einsum on the depthwise bench geometry
-          (``conv_bwd_weight`` bench key); tolerance-equal, which is the
-          float32 regime's contract.
-        """
-        if is_fast_dtype(grad_grouped, cols_grouped):
-            return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-        return np.einsum("ngol,ngkl->gok", grad_grouped, cols_grouped, optimize=True)
+            r0, r1 = _inside(i - ph, sh, out_h, h)
+            q0, q1 = _inside(j - pw, sw, out_w, w)
+            if r0 >= r1 or q0 >= q1:
+                continue
+            part = product[:, r0:r1, q0:q1]
+            np.multiply(weight_t[tap], grad_t[:, r0:r1, q0:q1], out=part)
+            top = i - ph + sh * r0
+            left = j - pw + sw * q0
+            image[:, top : top + sh * (r1 - r0) : sh, left : left + sw * (q1 - q0) : sw] += part
+        return np.ascontiguousarray(image.transpose(0, 3, 1, 2))
 
 
 def get_plan(
@@ -263,14 +482,16 @@ def get_plan(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
+    groups: int = 1,
 ) -> ConvPlan:
     """The cached :class:`ConvPlan` for a geometry (built on first use).
 
     The batch size is excluded from the cache key — plans are shared by all
-    batch sizes of one (channels, spatial, kernel) geometry, so a final
-    odd-sized batch or a threaded batch chunk reuses its full-batch plan.
+    batch sizes of one (channels, spatial, kernel, groups) geometry, so a
+    final odd-sized batch or a threaded batch chunk reuses its full-batch
+    plan.
     """
-    key = (tuple(input_shape[1:]), tuple(kernel), tuple(stride), tuple(padding))
+    key = (tuple(input_shape[1:]), tuple(kernel), tuple(stride), tuple(padding), int(groups))
     with _lock:
         plan = _cache.get(key)
         if plan is not None:
@@ -278,7 +499,7 @@ def get_plan(
             _stats["hits"] += 1
             return plan
         _stats["misses"] += 1
-    plan = ConvPlan(tuple(input_shape), tuple(kernel), tuple(stride), tuple(padding))
+    plan = ConvPlan(tuple(input_shape), tuple(kernel), tuple(stride), tuple(padding), int(groups))
     with _lock:
         _cache[key] = plan
         _cache.move_to_end(key)

@@ -47,6 +47,33 @@ PARITY_GRID = [
 ]
 
 
+# Edge geometries of the float64 parity test, as (input NCHW, kernel, stride,
+# padding, groups, out channels, bias).  Where a size-1 axis leaves einsum
+# nothing to fuse, it hands matmul strided views instead of copies, so these
+# pin the layout rule of ``ConvPlan.fuses_columns``.
+EDGE_GRID = [
+    ((1, 6, 8, 8), (3, 3), (1, 1), (1, 1), 6, 6, False),  # batch 1, depthwise
+    ((1, 3, 8, 8), (3, 3), (1, 1), (1, 1), 1, 4, False),  # batch 1, dense
+    ((3, 4, 2, 2), (3, 3), (2, 2), (1, 1), 4, 4, False),  # 1x1 output, depthwise
+    ((2, 1, 8, 8), (3, 3), (1, 1), (1, 1), 1, 4, False),  # one input channel
+    ((2, 6, 8, 8), (3, 3), (1, 1), (1, 1), 1, 1, False),  # one output channel
+    ((2, 4, 2, 2), (7, 7), (1, 1), (3, 3), 4, 4, False),  # 7x7 kernel on 2x2
+    ((2, 12, 4, 4), (1, 1), (1, 1), (0, 0), 2, 8, False),  # grouped pointwise, g > 1, o > 1
+    ((2, 12, 4, 4), (1, 1), (1, 1), (0, 0), 2, 8, True),  # the same with a bias
+    ((2, 1, 4, 4), (1, 1), (1, 1), (0, 0), 1, 3, False),  # k = 1: einsum multiplies
+    ((2, 4, 6, 6), (1, 1), (2, 2), (0, 0), 4, 4, True),  # k = 1 with a gather
+]
+
+
+def _parity_params():
+    """Every float64 parity geometry, with the grid's historical test ids."""
+    grid = [entry + (None, True) for entry in PARITY_GRID] + EDGE_GRID
+    return [
+        pytest.param(*entry, id=f"shape{i}-kernel{i}-stride{i}-padding{i}-{entry[4]}")
+        for i, entry in enumerate(grid)
+    ]
+
+
 def _run_conv(x_data, w_data, stride, padding, groups, enabled, with_bias=True):
     previous = set_plans_enabled(enabled)
     try:
@@ -62,17 +89,22 @@ def _run_conv(x_data, w_data, stride, padding, groups, enabled, with_bias=True):
         set_plans_enabled(previous)
 
 
-@pytest.mark.parametrize("shape,kernel,stride,padding,groups", PARITY_GRID)
-def test_plan_path_bit_identical_to_legacy_float64(shape, kernel, stride, padding, groups):
+@pytest.mark.parametrize("shape,kernel,stride,padding,groups,cout,bias", _parity_params())
+def test_plan_path_bit_identical_to_legacy_float64(
+    shape, kernel, stride, padding, groups, cout, bias
+):
+    """Values *and strides*: downstream reductions round by memory order."""
     rng = np.random.default_rng(7)
     cin = shape[1]
-    cout = cin if groups == cin else 2 * groups
+    if cout is None:
+        cout = cin if groups == cin else 2 * groups
     x_data = rng.normal(size=shape)
     w_data = rng.normal(size=(cout, cin // groups, kernel[0], kernel[1]))
-    fast = _run_conv(x_data, w_data, stride, padding, groups, enabled=True)
-    legacy = _run_conv(x_data, w_data, stride, padding, groups, enabled=False)
+    fast = _run_conv(x_data, w_data, stride, padding, groups, enabled=True, with_bias=bias)
+    legacy = _run_conv(x_data, w_data, stride, padding, groups, enabled=False, with_bias=bias)
     for fast_arr, legacy_arr in zip(fast, legacy):
         assert np.array_equal(fast_arr, legacy_arr)
+        assert fast_arr.strides == legacy_arr.strides
 
 
 @pytest.mark.parametrize("shape,kernel,stride,padding,groups", PARITY_GRID)
@@ -111,22 +143,28 @@ def test_col2im_scatter_bit_identical_to_loop():
 
 
 def test_col2im_outer_matches_materialised_fold():
-    """The fused depthwise fold equals col2im of the explicit outer product."""
+    """The fused depthwise fold equals col2im of the explicit outer product,
+    including taps that land partly or only in the padding."""
     rng = np.random.default_rng(5)
-    shape, kernel, stride, padding = (3, 6, 8, 8), (5, 5), (1, 1), (2, 2)
-    plan = get_plan(shape, kernel, stride, padding)
-    taps = kernel[0] * kernel[1]
-    length = plan.out_hw[0] * plan.out_hw[1]
-    weight = rng.normal(size=(shape[1], taps))
-    grad = rng.normal(size=(shape[0], shape[1], length))
-    explicit = (weight[None, :, :, None] * grad[:, :, None, :]).reshape(
-        shape[0], shape[1] * taps, length
-    )
-    assert np.array_equal(plan.col2im_outer(weight, grad), plan.col2im(explicit))
+    for shape, kernel, stride, padding in [
+        ((3, 6, 8, 8), (5, 5), (1, 1), (2, 2)),
+        ((2, 4, 2, 2), (7, 7), (1, 1), (3, 3)),
+        ((2, 4, 2, 2), (7, 7), (2, 2), (3, 3)),
+        ((2, 4, 4, 4), (5, 5), (2, 2), (2, 2)),
+    ]:
+        plan = get_plan(shape, kernel, stride, padding)
+        taps = kernel[0] * kernel[1]
+        length = plan.out_hw[0] * plan.out_hw[1]
+        weight = rng.normal(size=(shape[1], taps))
+        grad = rng.normal(size=(shape[0], shape[1], length))
+        explicit = (weight[None, :, :, None] * grad[:, :, None, :]).reshape(
+            shape[0], shape[1] * taps, length
+        )
+        assert np.array_equal(plan.col2im_outer(weight, grad), plan.col2im(explicit))
 
 
 def test_grad_weight_float64_bit_identical_to_einsum():
-    """The plan-tier weight gradient is the legacy einsum verbatim at float64."""
+    """The plan-tier weight gradient rounds exactly as the legacy einsum at float64."""
     rng = np.random.default_rng(12)
     for shape, kernel, stride, padding, groups in PARITY_GRID:
         n, cin = shape[0], shape[1]
@@ -138,6 +176,42 @@ def test_grad_weight_float64_bit_identical_to_einsum():
         grad = rng.normal(size=(n, groups, cout // groups, length))
         reference = np.einsum("ngol,ngkl->gok", grad, cols, optimize=True)
         assert np.array_equal(plan.grad_weight(grad, cols), reference)
+
+
+def _layouts(array):
+    """``array`` as C-contiguous, permuted, gapped and broadcast operands."""
+    rng = np.random.default_rng(array.size)
+    perm = rng.permutation(array.ndim)
+    permuted = np.ascontiguousarray(array.transpose(perm)).transpose(np.argsort(perm))
+    gapped = np.zeros(array.shape[:-1] + (2 * array.shape[-1],))
+    gapped[..., ::2] = array
+    broadcast = np.broadcast_to(array[..., :1], array.shape)
+    return [array, permuted, gapped[..., ::2], broadcast]
+
+
+@pytest.mark.parametrize(
+    "legacy, lowered",
+    [
+        ("gok,ngkl->ngol", "ngkl,gok->ngol"),
+        ("ngol,ngkl->gok", "ngkl,ngol->gok"),
+        ("gok,ngol->ngkl", "ngol,gok->ngkl"),
+    ],
+)
+def test_bmm_replays_einsum_on_every_layout(legacy, lowered):
+    """``plans._bmm`` is einsum's matmul: same values and strides for any
+    operand layout, size-1 axis or missing contraction axis."""
+    rng = np.random.default_rng(21)
+    left, right = legacy.split("->")[0].split(",")
+    for n, g, o, k, l in [(3, 2, 4, 9, 16), (1, 3, 1, 9, 16), (3, 3, 2, 1, 1), (2, 1, 5, 1, 7)]:
+        sizes = dict(n=n, g=g, o=o, k=k, l=l)
+        first = rng.normal(size=[sizes[ix] for ix in left])
+        second = rng.normal(size=[sizes[ix] for ix in right])
+        for a in _layouts(first):
+            for b in _layouts(second):
+                reference = np.einsum(legacy, a, b, optimize=True)
+                replayed = plans._bmm(lowered, b, a)
+                assert np.array_equal(replayed, reference)
+                assert replayed.strides == reference.strides
 
 
 def test_grad_weight_float32_fast_form_matches_to_tolerance():

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """cProfile harness for the supernet training step.
 
-Runs a few soft-gate supernet train steps (forward + backward + a supernet
-and architecture optimiser step — the inner loop every search method pays
-for) under cProfile and prints the hottest functions.  The quickest way to
-check where an autograd change moved the bottleneck::
+Runs a few supernet train steps under cProfile and prints the hottest
+functions.  Each step samples hard Gumbel gates, exactly as the DANCE and
+baseline searchers do, then runs forward + backward + a supernet and
+architecture optimiser step — the inner loop every search method pays for.
+The quickest way to check where an autograd change moved the bottleneck::
 
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
 
-``--float32`` profiles the opt-in precision policy, ``--no-plans`` the
-legacy im2col/col2im lowering (both documented in docs/performance.md), and
-``--no-fused`` the per-candidate mixed-op loop instead of the batched
-einsum, so the relative cost of each tier can be read off directly.
+``--float32`` profiles the opt-in precision policy and ``--no-plans`` the
+legacy im2col/col2im lowering (both documented in docs/performance.md), so
+the relative cost of each tier can be read off directly.
 ``--backward-only`` builds each step's forward graph outside the profiler
 and profiles just ``backward()`` + the optimiser steps — the view that
 isolates the weight-gradient contraction and the col2im folds.
@@ -32,7 +32,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.autograd import Adam, SGD, set_plans_enabled, use_dtype  # noqa: E402
-from repro.autograd.functional import softmax  # noqa: E402
 from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.nas import ArchitectureParameters, SuperNet, build_cifar_search_space  # noqa: E402
 
@@ -51,11 +50,6 @@ def main() -> int:
         "--no-plans",
         action="store_true",
         help="disable cached convolution plans (legacy lowering)",
-    )
-    parser.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="per-candidate mixed-op loop instead of the fused batched einsum",
     )
     parser.add_argument(
         "--backward-only",
@@ -81,8 +75,7 @@ def main() -> int:
             space = build_cifar_search_space(trainable_base_channels=args.channels)
             supernet = SuperNet(space, rng=0)
             arch_params = ArchitectureParameters(space, rng=1)
-            for mixed in supernet.mixed_ops:
-                mixed.fuse_soft_gates = not args.no_fused
+            gate_rng = np.random.default_rng(2)
             weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
             arch_opt = Adam([arch_params.alpha], lr=0.001)
             images = np.random.default_rng(0).normal(size=(args.batch, 3, 8, 8))
@@ -90,7 +83,8 @@ def main() -> int:
             def forward():
                 supernet.zero_grad()
                 arch_params.zero_grad()
-                logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
+                gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
+                logits = supernet(Tensor(images), gates)
                 return (logits * logits).mean()
 
             def optimise() -> None:
@@ -125,8 +119,7 @@ def main() -> int:
     print(
         f"profiled {args.steps} supernet step(s): batch={args.batch}, "
         f"channels={args.channels}, dtype={'float32' if args.float32 else 'float64'}, "
-        f"plans={'off' if args.no_plans else 'on'}, "
-        f"fused={'off' if args.no_fused else 'on'}"
+        f"plans={'off' if args.no_plans else 'on'}, gates=hard"
         + (", backward-only" if args.backward_only else "")
     )
     stats.sort_stats(args.sort).print_stats(args.limit)
