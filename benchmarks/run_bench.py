@@ -473,10 +473,11 @@ def main() -> int:
 
     # ------------------------------------------------------------------
     # 10. The serve API (repro.serve over repro.api): a cold HTTP report
-    #     (?refresh=1 re-parses every run and rewrites the browser cache)
-    #     against a warm request served from the summary cache, and a
-    #     cold /v1/cost query (clears the residency so the CostTable is
-    #     rebuilt) against a warm resident-table lookup.
+    #     (?refresh=1 re-parses every run, rewrites the browser cache and
+    #     re-renders the body) against a warm request answered from the
+    #     server's resident report body, and a cold /v1/cost query (clears
+    #     the residency so the CostTable is rebuilt) against a warm
+    #     resident-table lookup.
     # ------------------------------------------------------------------
     import http.client
     import threading
@@ -507,7 +508,7 @@ def main() -> int:
             finally:
                 conn.close()
 
-        fetch("/v1/report")  # prime the browser cache and the page cache
+        fetch("/v1/report")  # prime the browser cache, page cache and resident body
         before = _time(lambda: fetch("/v1/report?refresh=1"), repeats=3)
         after = _time(lambda: fetch("/v1/report"), repeats=3)
         results["serve_report"] = {

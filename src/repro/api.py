@@ -17,7 +17,10 @@ stability contract.  This facade defines the contract:
   :func:`summary_document`, :func:`run_document`, :func:`cost_document`,
   :func:`submit_job`) are the single implementation both the CLI and the
   server call — ``Runner.report_data``/``pareto_data``/``progress_data``
-  survive only as thin deprecation aliases.
+  survive only as thin deprecation aliases.  :func:`report_document` is
+  :func:`report_scan` followed by :meth:`ReportScan.document`; the server
+  calls the two halves itself so that the scan's key can decide whether
+  its resident report body is still current.
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`
@@ -312,6 +315,84 @@ def pareto_document(
     return ParetoDocument(root=str(root), records=json_safe(records))
 
 
+@dataclass(frozen=True)
+class ReportScan:
+    """The one browse behind a report: the runs it lists and its cache key.
+
+    ``key`` is everything the rendered :class:`ReportDocument` depends on:
+    the root, the normalised filters, the ``(mtime_ns, size)`` signature of
+    every listed ``result.json`` and the live queue-state table.  Two scans
+    with equal keys render byte-identical documents, unless a
+    ``result.json`` was rewritten without its stat signature changing — the
+    same trust the browser cache already places in signatures.  The server
+    keys its resident ``/v1/report`` body on it (``docs/serve.md``).
+    """
+
+    root: Path
+    listed: List[Tuple[str, Any]]
+    status: Dict[str, Dict[str, Any]]
+    key: Tuple[Hashable, ...]
+
+    def document(self) -> ReportDocument:
+        """Read each listed ``result.json`` and build the report document.
+
+        The browser scan decided *which* runs appear (and served the state
+        table from its cache), but the ``results`` array needs the full
+        payloads — ``history``, ``op_indices``, the hardware dict — so each
+        listed ``result.json`` is re-read here; a run whose file vanishes or
+        is corrupted between the scan and the read is skipped rather than
+        crashing the dump.
+        """
+        from repro.core.results import SearchResult
+        from repro.experiments.runner import RESULT_FILE
+
+        named: List[Tuple[str, SearchResult]] = []
+        for name, summary in self.listed:
+            path = self.root / summary.name / RESULT_FILE
+            try:
+                named.append((name, SearchResult.from_dict(load_json(path))))
+            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
+                continue
+        results = [result for _, result in named]
+        states: Dict[str, int] = {}
+        for entry in self.status.values():
+            states[entry["state"]] = states.get(entry["state"], 0) + 1
+        return ReportDocument(
+            root=str(self.root),
+            results=json_safe([result.to_dict() for result in results]),
+            pareto=json_safe(pareto_records(named)),
+            runs=json_safe(self.status),
+            summary={
+                "results": len(results),
+                "run_dirs": len(self.status),
+                "states": states,
+            },
+        )
+
+
+def report_scan(
+    root: Union[str, Path],
+    lock_ttl: Optional[float] = None,
+    use_cache: bool = True,
+    refresh: bool = False,
+    filters: Optional[Mapping[str, str]] = None,
+) -> ReportScan:
+    """Browse ``root`` once for a report: the listed runs, states and key."""
+    from repro.experiments.browser import results_view, status_view
+    from repro.experiments.browser.run_summary import RESULT_ARTIFACT
+
+    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
+    listed = results_view(summaries, root)
+    status = status_view(summaries, root, ttl)
+    key = (
+        str(root),
+        tuple(sorted((filters or {}).items())),
+        tuple((name, tuple(summary.signature[RESULT_ARTIFACT])) for name, summary in listed),
+        tuple((name, tuple(entry.items())) for name, entry in status.items()),
+    )
+    return ReportScan(root=root, listed=listed, status=status, key=key)
+
+
 def report_document(
     root: Union[str, Path],
     lock_ttl: Optional[float] = None,
@@ -319,43 +400,8 @@ def report_document(
     refresh: bool = False,
     filters: Optional[Mapping[str, str]] = None,
 ) -> ReportDocument:
-    """The machine-readable report: saved results plus sweep/queue status.
-
-    The browser scan decides *which* runs appear (and serves the state
-    table from its cache), but the ``results`` array needs the full
-    payloads — ``history``, ``op_indices``, the hardware dict — so each
-    listed ``result.json`` is re-read here; a run whose file vanishes or
-    is corrupted between the scan and the read is skipped rather than
-    crashing the dump.
-    """
-    from repro.core.results import SearchResult
-    from repro.experiments.browser import results_view, status_view
-    from repro.experiments.runner import RESULT_FILE
-
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
-    named: List[Tuple[str, SearchResult]] = []
-    for name, summary in results_view(summaries, root):
-        path = root / summary.name / RESULT_FILE
-        try:
-            named.append((name, SearchResult.from_dict(load_json(path))))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            continue
-    results = [result for _, result in named]
-    status = status_view(summaries, root, ttl)
-    states: Dict[str, int] = {}
-    for entry in status.values():
-        states[entry["state"]] = states.get(entry["state"], 0) + 1
-    return ReportDocument(
-        root=str(root),
-        results=json_safe([result.to_dict() for result in results]),
-        pareto=json_safe(pareto_records(named)),
-        runs=json_safe(status),
-        summary={
-            "results": len(results),
-            "run_dirs": len(status),
-            "states": states,
-        },
-    )
+    """The machine-readable report: saved results plus sweep/queue status."""
+    return report_scan(root, lock_ttl, use_cache, refresh, filters).document()
 
 
 def summary_document(
@@ -716,6 +762,7 @@ __all__ = [
     "JobConflictError",
     "ParetoDocument",
     "ReportDocument",
+    "ReportScan",
     "RunDocument",
     "ScheduleDocument",
     "SummaryDocument",
@@ -725,6 +772,7 @@ __all__ = [
     "pareto_document",
     "pareto_records",
     "report_document",
+    "report_scan",
     "run_document",
     "run_states",
     "schedule_document",

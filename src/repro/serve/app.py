@@ -12,17 +12,26 @@ Design rules:
   request; all shared mutable state lives in battle-tested layers below
   (the browser cache writes atomically with per-thread temp names, the
   work queue claims via ``O_EXCL`` locks, resident cost tables build under
-  a per-key lock).  Handlers themselves keep no state.
+  a per-key lock).  The one piece the server itself holds is the resident
+  ``/v1/report`` body, swapped whole by a single attribute assignment.
 * **Errors are documents too.**  Every non-2xx body is
   ``{"schema_version": ..., "error": ...}`` through the same encoder, and
   unknown names answer with the repository's canonical did-you-mean hints.
 * **Revalidation is free.**  The report-family endpoints (``/v1/report``,
   ``/v1/pareto``, ``/v1/summary``) tag every 200 with a strong ``ETag``
   (the SHA-256 of the exact body); a request whose ``If-None-Match``
-  matches is answered ``304 Not Modified`` with no body.  The document is
-  still rendered server-side (the browser cache makes that cheap) — what
-  revalidation saves is the transfer, which dominates for thousand-run
-  report bodies polled by dashboards.
+  matches is answered ``304 Not Modified`` with no body.
+* **A warm report is free too.**  ``/v1/report`` bodies run to megabytes
+  over a sweep-sized tree, and re-reading and rendering one costs far more
+  than the browse that decides whether anything changed.  The server keeps
+  the last rendered body and its ETag resident, keyed on the request's
+  :class:`repro.api.ReportScan` key; a request whose browse yields the same
+  key is answered from those bytes without reading, rendering or hashing
+  anything.  ``refresh=1`` and ``cache=0`` always rebuild.
+* **No Nagle stall.**  ``BaseHTTPRequestHandler`` writes the headers and the
+  body as two ``send()`` calls; with Nagle's algorithm on, the body would
+  wait for the client's delayed ACK of the headers (~40 ms on Linux), so
+  every accepted socket gets ``TCP_NODELAY``.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import hashlib
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import api
@@ -70,8 +79,19 @@ def _truthy(raw: str) -> bool:
     return raw.lower() not in ("0", "false", "no", "off", "")
 
 
+def _body(rendered: str) -> bytes:
+    """The response bytes of a rendered document: the text plus one newline."""
+    return (rendered + "\n").encode("utf-8")
+
+
+def _etag(body: bytes) -> str:
+    """The strong ``ETag`` of a response body: the SHA-256 of its bytes."""
+    return '"' + hashlib.sha256(body).hexdigest() + '"'
+
+
 class ReproServer(ThreadingHTTPServer):
-    """One thread per request; shared state is the runs dir + resident tables."""
+    """One thread per request; shared state is the runs dir, the resident cost
+    tables and the resident report body."""
 
     daemon_threads = True
 
@@ -88,6 +108,30 @@ class ReproServer(ThreadingHTTPServer):
         self.runs_dir = Path(runs_dir)
         self.lock_ttl = DEFAULT_LOCK_TTL if lock_ttl is None else float(lock_ttl)
         self.cost_tables = ResidentCostTables()
+        #: The resident ``/v1/report`` body: ``(scan key, body, etag)``.
+        self._report_body: Optional[Tuple[Hashable, bytes, str]] = None
+
+    def report_body(self, options: Mapping[str, Any]) -> Tuple[bytes, str]:
+        """The ``/v1/report`` body and ETag for one request's query options.
+
+        Every request browses once (:func:`repro.api.report_scan`).  When the
+        scan's key equals the resident one, the stored bytes and tag are the
+        answer.  Otherwise the resident body is dropped *before* the new one
+        is rendered — so the process never holds two — and the fresh body
+        replaces it.  ``refresh``/``cache=0`` requests always rebuild, like
+        the ``--refresh``/``--no-cache`` CLI flags they mirror.
+        """
+        scan = api.report_scan(self.runs_dir, **options)
+        resident = self._report_body
+        reusable = options["use_cache"] and not options["refresh"]
+        if reusable and resident is not None and resident[0] == scan.key:
+            return resident[1], resident[2]
+        # Drop the local reference too, or the old body outlives the render.
+        resident = self._report_body = None
+        body = _body(scan.document().render())
+        etag = _etag(body)
+        self._report_body = (scan.key, body, etag)
+        return body, etag
 
     @property
     def url(self) -> str:
@@ -109,6 +153,8 @@ class _Handler(BaseHTTPRequestHandler):
     server: ReproServer  # narrowed from BaseHTTPRequestHandler's annotation
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two send()s; see "No Nagle stall" above.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
@@ -118,25 +164,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(document.render(), status)
 
     def _send_json(self, rendered: str, status: int) -> None:
-        body = (rendered + "\n").encode("utf-8")
+        body = _body(rendered)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_revalidated(self, document: api._Document) -> None:
-        """Send a document with a strong ``ETag``, honouring ``If-None-Match``.
+    def _send_revalidated(self, body: bytes, etag: str) -> None:
+        """Send a body with its strong ``ETag``, honouring ``If-None-Match``.
 
         The tag is the SHA-256 of the exact response body (rendered
-        document + newline), so two byte-identical bodies — and only those
-        — share a tag, regardless of which worker or process rendered
-        them.  On a match the reply is a bodyless ``304`` carrying the
-        same ``ETag`` (RFC 9110: a 304 has no body, which
-        ``http.client``-family consumers already expect).
+        document + newline, see :func:`_etag`), so two byte-identical
+        bodies — and only those — share a tag, regardless of which worker
+        or process rendered them.  On a match the reply is a bodyless
+        ``304`` carrying the same ``ETag`` (RFC 9110: a 304 has no body,
+        which ``http.client``-family consumers already expect).
         """
-        body = (document.render() + "\n").encode("utf-8")
-        etag = '"' + hashlib.sha256(body).hexdigest() + '"'
         if self._if_none_match_hits(etag):
             self.send_response(304)
             self.send_header("ETag", etag)
@@ -148,6 +192,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("ETag", etag)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_revalidated_document(self, document: api._Document) -> None:
+        body = _body(document.render())
+        self._send_revalidated(body, _etag(body))
 
     def _if_none_match_hits(self, etag: str) -> bool:
         """Whether the request's ``If-None-Match`` matches ``etag``.
@@ -242,11 +290,15 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
             )
         elif path == "/v1/report":
-            self._send_revalidated(api.report_document(runs, **self._report_options()))
+            self._send_revalidated(*self.server.report_body(self._report_options()))
         elif path == "/v1/pareto":
-            self._send_revalidated(api.pareto_document(runs, **self._report_options()))
+            self._send_revalidated_document(
+                api.pareto_document(runs, **self._report_options())
+            )
         elif path == "/v1/summary":
-            self._send_revalidated(api.summary_document(runs, **self._report_options()))
+            self._send_revalidated_document(
+                api.summary_document(runs, **self._report_options())
+            )
         elif path == "/v1/sweep/schedule":
             self._send_document(
                 api.schedule_document(runs, lock_ttl=self.server.lock_ttl)

@@ -2,8 +2,9 @@
 facade behind it: endpoint round-trips against a threaded live server,
 CLI-vs-HTTP byte parity on cold and warm caches, resident cost-table reuse,
 job submission drained by an ordinary ``sweep --queue`` worker, malformed
-requests answered with did-you-mean bodies, and concurrent GETs while a
-writer mutates the runs directory.
+requests answered with did-you-mean bodies, concurrent GETs while a
+writer mutates the runs directory, the resident ``/v1/report`` body and
+``TCP_NODELAY`` on accepted sockets.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from repro import api
 from repro.__main__ import main
 from repro.experiments.browser import CACHE_FILE
 from repro.experiments.runner import CONFIG_FILE, RESULT_FILE
-from repro.experiments.sweep import SweepPlan
+from repro.experiments.sweep import LOCK_FILE, SweepPlan
 from repro.serve import create_server
+from repro.utils.serialization import save_json
 
 from test_browser import config_payload, make_run, result_payload
-from test_parallel_sweep import TINY_SWEEP
+from test_parallel_sweep import TINY_SWEEP, age_file
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +263,136 @@ class TestRevalidation:
 
 
 # ----------------------------------------------------------------------
+# The resident /v1/report body
+# ----------------------------------------------------------------------
+@pytest.fixture
+def renders(monkeypatch):
+    """Count ``ReportDocument.render`` calls (server threads included)."""
+    calls = []
+    original = api.ReportDocument.render
+
+    def counting(document):
+        calls.append(document.root)
+        return original(document)
+
+    monkeypatch.setattr(api.ReportDocument, "render", counting)
+    return calls
+
+
+def expected_report(root: Path, **options) -> bytes:
+    return (api.report_document(root, **options).render() + "\n").encode("utf-8")
+
+
+class TestReportBodyCache:
+    def test_repeat_request_renders_nothing(self, live_server, renders):
+        status, body, headers = http_get_raw(live_server, "/v1/report")
+        assert (status, len(renders)) == (200, 1)
+        for _ in range(3):
+            again_status, again, again_headers = http_get_raw(live_server, "/v1/report")
+            assert (again_status, again) == (200, body)
+            assert again_headers["ETag"] == headers["ETag"]
+        assert len(renders) == 1
+
+    def test_if_none_match_is_answered_from_the_resident_tag(self, live_server, renders):
+        _, _, headers = http_get_raw(live_server, "/v1/report")
+        status, body, revalidated = http_get_raw(
+            live_server, "/v1/report", headers={"If-None-Match": headers["ETag"]}
+        )
+        assert (status, body, revalidated["ETag"]) == (304, b"", headers["ETag"])
+        assert len(renders) == 1
+
+    def assert_fresh(self, server, root: Path, renders, path="/v1/report", **options):
+        """One GET renders once, and equals an in-process report of the tree."""
+        before = len(renders)
+        status, body, _ = http_get_raw(server, path)
+        assert (status, len(renders)) == (200, before + 1)
+        assert body == expected_report(root, **options)
+        return body
+
+    def test_result_rewrite_renders_a_fresh_body(self, live_server, runs_root, renders):
+        old = self.assert_fresh(live_server, runs_root, renders)
+        # A different size too, so the rewrite shows on any mtime granularity.
+        history = [{"epoch": 0.0, "train_ce": 2.5}, {"epoch": 1.0, "train_ce": 2.25}]
+        save_json(
+            result_payload(accuracy=0.77, history=history), runs_root / "a-run" / RESULT_FILE
+        )
+        assert self.assert_fresh(live_server, runs_root, renders) != old
+
+    def test_deleted_result_renders_a_fresh_body(self, live_server, runs_root, renders):
+        old = self.assert_fresh(live_server, runs_root, renders)
+        (runs_root / "b-run" / RESULT_FILE).unlink()
+        assert self.assert_fresh(live_server, runs_root, renders) != old
+
+    def test_job_submission_renders_a_fresh_body(self, live_server, runs_root, renders):
+        old = self.assert_fresh(live_server, runs_root, renders)
+        assert http_post(live_server, "/v1/jobs", tiny_job_payload(seed=9))[0] == 201
+        assert self.assert_fresh(live_server, runs_root, renders) != old
+
+    def test_lock_appearing_and_going_stale_renders_fresh_bodies(
+        self, live_server, runs_root, renders
+    ):
+        pending = self.assert_fresh(live_server, runs_root, renders)
+        lock = runs_root / "pending-run" / LOCK_FILE
+        lock.write_text('{"token": "worker"}', encoding="utf-8")
+        running = self.assert_fresh(live_server, runs_root, renders)
+        assert json.loads(running)["runs"]["pending-run"]["state"] == "running"
+        age_file(lock, live_server.lock_ttl + 60)
+        stale = self.assert_fresh(live_server, runs_root, renders)
+        assert json.loads(stale)["runs"]["pending-run"]["state"] == "stale"
+        assert len({pending, running, stale}) == 3
+
+    def test_filter_query_renders_a_fresh_body(self, live_server, runs_root, renders):
+        self.assert_fresh(live_server, runs_root, renders)
+        self.assert_fresh(
+            live_server,
+            runs_root,
+            renders,
+            path="/v1/report?method=baseline",
+            filters={"method": "baseline"},
+        )
+        self.assert_fresh(live_server, runs_root, renders)  # at most one body stays resident
+
+    def test_refresh_and_no_cache_always_render(self, live_server, runs_root, renders):
+        http_get_raw(live_server, "/v1/report")
+        for path in ("/v1/report?refresh=1", "/v1/report?cache=0") * 2:
+            before = len(renders)
+            status, body, _ = http_get_raw(live_server, path)
+            assert (status, len(renders)) == (200, before + 1)
+            assert body == expected_report(runs_root)
+        # The bypass stored its fresh body: a plain request is a hit again.
+        before = len(renders)
+        http_get_raw(live_server, "/v1/report")
+        assert len(renders) == before
+
+
+def test_accepted_sockets_disable_nagle(runs_root):
+    """Headers and body are two ``send()`` calls: without ``TCP_NODELAY`` the
+    body waits for the client's delayed ACK, ~40 ms on every request."""
+    import socket
+
+    from repro.serve.app import _Handler
+
+    seen = []
+
+    class Probe(_Handler):
+        def setup(self):
+            super().setup()
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    server = create_server(runs_root, port=0)
+    server.RequestHandlerClass = Probe
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert http_get(server, "/v1/summary")[0] == 200
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert seen and all(seen)
+
+
+# ----------------------------------------------------------------------
 # The schedule endpoint and scheduler-aware job submission
 # ----------------------------------------------------------------------
 class TestScheduleEndpoint:
@@ -453,10 +585,15 @@ class TestConcurrency:
                     if stop.is_set():
                         return
                     name = f"churn-{round_number % 3}"
+                    # A history growing every round gives every rewrite a new
+                    # size, so no (mtime_ns, size) signature ever recurs.
+                    history = [{"epoch": float(epoch)} for epoch in range(round_number + 1)]
                     make_run(
                         runs_root,
                         name,
-                        result=result_payload(accuracy=0.1 + round_number / 100.0),
+                        result=result_payload(
+                            accuracy=0.1 + round_number / 100.0, history=history
+                        ),
                         config=config_payload(seed=10 + round_number % 3),
                     )
                     if round_number % 5 == 4:
@@ -492,3 +629,7 @@ class TestConcurrency:
         for status, body in responses:
             assert status == 200
             assert json.loads(body)["schema_version"] == api.SCHEMA_VERSION
+        # Whichever racing request stored the resident body last, the next
+        # report reflects the settled tree.
+        _, settled = http_get(live_server, "/v1/report")
+        assert settled == api.report_document(runs_root).render() + "\n"
