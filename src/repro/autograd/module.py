@@ -9,6 +9,7 @@ checkpointing evaluator networks between the training and search phases.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -123,6 +124,25 @@ class Module:
         for param in self.parameters():
             param.requires_grad = True
         return self
+
+    @contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Disable gradient tracking for the block, then restore each flag.
+
+        The searchers' architecture steps run forward *and* backward inside
+        it: the conv / linear / batch-norm backward closures read
+        ``requires_grad`` when they run, so only the architecture logits
+        receive gradients.  A parameter that was already frozen stays so.
+        """
+        params = self.parameters()
+        previous = [param.requires_grad for param in params]
+        for param in params:
+            param.requires_grad = False
+        try:
+            yield self
+        finally:
+            for param, flag in zip(params, previous):
+                param.requires_grad = flag
 
     # ------------------------------------------------------------------
     # Serialization

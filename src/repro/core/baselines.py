@@ -24,6 +24,7 @@ from repro.autograd.optim import Adam, SGD
 from repro.autograd.scheduler import CosineAnnealingLR
 from repro.autograd.tensor import Tensor
 from repro.core.cost_functions import HardwareCostFunction, EDAPCostFunction
+from repro.core.loss import check_finite_loss
 from repro.core.results import SearchResult
 from repro.core.train_utils import ClassifierTrainingConfig, train_classifier
 from repro.data.loaders import DataLoader
@@ -123,23 +124,29 @@ class BaselineSearcher:
         self._ready = True
 
     def step(self) -> Dict[str, float]:
-        """Run one hardware-agnostic search epoch."""
+        """Run one hardware-agnostic search epoch.
+
+        Same step pair as :meth:`repro.core.co_explore.DanceSearcher.step`:
+        weight steps with detached gates, architecture steps with the
+        supernet frozen, and :class:`~repro.core.loss.NonFiniteLossError`
+        on a NaN/inf loss.
+        """
         config = self.config
         start = time.time()
         epoch = self._epoch
         self._weight_scheduler.step(epoch)
         val_iter = iter(self._val_loader)
         epoch_ce: List[float] = []
-        for images, labels in self._train_loader:
+        for step, (images, labels) in enumerate(self._train_loader):
             gates = self._arch_params.sample_gumbel(
                 temperature=config.gumbel_temperature, hard=True, rng=self._rng
-            )
+            ).detach()
             logits = self._supernet(Tensor(images), gates)
             weight_loss = self.task_head.loss(
                 logits, labels, label_smoothing=config.label_smoothing
             )
+            check_finite_loss(weight_loss, self.method_name, "weight", epoch, step)
             self._weight_optimizer.zero_grad()
-            self._arch_params.zero_grad()
             weight_loss.backward()
             self._weight_optimizer.step()
             epoch_ce.append(weight_loss.item())
@@ -152,18 +159,21 @@ class BaselineSearcher:
             gates = self._arch_params.sample_gumbel(
                 temperature=config.gumbel_temperature, hard=True, rng=self._rng
             )
-            arch_loss = self.task_head.loss(
-                self._supernet(Tensor(val_images), gates), val_labels,
-                label_smoothing=config.label_smoothing,
-            )
-            if config.flops_penalty > 0:
-                expected_flops = self.flops_model.normalized_expected_flops(
-                    self._arch_params.probabilities_tensor()
-                )
-                arch_loss = arch_loss + expected_flops * config.flops_penalty
             self._arch_optimizer.zero_grad()
             self._weight_optimizer.zero_grad()
-            arch_loss.backward()
+            # Only alpha is updated here: no supernet weight gradient is computed.
+            with self._supernet.frozen():
+                arch_loss = self.task_head.loss(
+                    self._supernet(Tensor(val_images), gates), val_labels,
+                    label_smoothing=config.label_smoothing,
+                )
+                if config.flops_penalty > 0:
+                    expected_flops = self.flops_model.normalized_expected_flops(
+                        self._arch_params.probabilities_tensor()
+                    )
+                    arch_loss = arch_loss + expected_flops * config.flops_penalty
+                check_finite_loss(arch_loss, self.method_name, "arch", epoch, step)
+                arch_loss.backward()
             self._arch_optimizer.step()
 
         record = {

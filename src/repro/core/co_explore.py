@@ -3,14 +3,20 @@
 One search run alternates, within each epoch, between
 
 * **weight steps** — sample a (near) one-hot path through the supernet with
-  Gumbel-softmax, compute the cross-entropy of the sampled path on a
-  training batch, and update the supernet weights; and
+  Gumbel-softmax (detached: no gradient reaches the logits), compute the
+  cross-entropy of the sampled path on a training batch, and update the
+  supernet weights; and
 * **architecture steps** — on a validation batch, combine the sampled-path
   cross-entropy with ``lambda_2 * Cost_HW``, where ``Cost_HW`` is produced by
   the *frozen* differentiable evaluator from the current architecture
   probabilities, and update only the architecture parameters.  Because the
   evaluator is a neural network, the gradient of the hardware cost flows
-  through it into the architecture logits — the paper's key idea.
+  through it into the architecture logits — the paper's key idea.  The
+  supernet is frozen (:meth:`~repro.autograd.module.Module.frozen`) through
+  this step's forward and backward, so only the logits receive gradients.
+
+A NaN or infinite weight or architecture loss raises
+:class:`~repro.core.loss.NonFiniteLossError` before any optimiser step.
 
 After the search, the most likely architecture is derived, a one-time exact
 hardware generation is run with the oracle (as the paper does), and the
@@ -37,7 +43,7 @@ from repro.autograd.optim import Adam, SGD
 from repro.autograd.scheduler import CosineAnnealingLR
 from repro.autograd.tensor import Tensor
 from repro.core.cost_functions import EDAPCostFunction, HardwareCostFunction
-from repro.core.loss import CoExplorationLoss
+from repro.core.loss import CoExplorationLoss, check_finite_loss
 from repro.core.results import SearchResult
 from repro.core.train_utils import ClassifierTrainingConfig, train_classifier
 from repro.core.warmup import LambdaWarmup
@@ -146,7 +152,15 @@ class DanceSearcher:
         self._ready = True
 
     def step(self) -> Dict[str, float]:
-        """Run one search epoch (weight + architecture updates) and log it."""
+        """Run one search epoch (weight + architecture updates) and log it.
+
+        Per training batch: a weight step with detached Gumbel gates, then
+        (every ``arch_update_period`` batches) an architecture step on a
+        validation batch with the supernet frozen, whose backward computes
+        only the gradient of alpha.  Raises
+        :class:`~repro.core.loss.NonFiniteLossError` on a NaN/inf loss,
+        before the optimiser step that would consume it.
+        """
         config = self.config
         start = time.time()
         epoch = self._epoch
@@ -159,13 +173,13 @@ class DanceSearcher:
             # ---- weight step on the training batch --------------------
             gates = self._arch_params.sample_gumbel(
                 temperature=config.gumbel_temperature, hard=True, rng=self._rng
-            )
+            ).detach()
             logits = self._supernet(Tensor(images), gates)
             weight_loss = self.task_head.loss(
                 logits, labels, label_smoothing=config.label_smoothing
             )
+            check_finite_loss(weight_loss, self.method_name, "weight", epoch, step)
             self._weight_optimizer.zero_grad()
-            self._arch_params.zero_grad()
             weight_loss.backward()
             self._weight_optimizer.step()
             epoch_ce.append(weight_loss.item())
@@ -181,14 +195,20 @@ class DanceSearcher:
             gates = self._arch_params.sample_gumbel(
                 temperature=config.gumbel_temperature, hard=True, rng=self._rng
             )
-            val_logits = self._supernet(Tensor(val_images), gates)
-            predicted_metrics = self.evaluator(self._arch_params.encoding_tensor(), rng=self._rng)
-            arch_loss = self._combined_loss(
-                val_logits, val_labels, predicted_metrics, lambda_2=lambda_2
-            )
             self._arch_optimizer.zero_grad()
             self._weight_optimizer.zero_grad()
-            arch_loss.backward()
+            # Only alpha is updated here, so the supernet weights are frozen
+            # through the backward too: no weight gradient is computed.
+            with self._supernet.frozen():
+                val_logits = self._supernet(Tensor(val_images), gates)
+                predicted_metrics = self.evaluator(
+                    self._arch_params.encoding_tensor(), rng=self._rng
+                )
+                arch_loss = self._combined_loss(
+                    val_logits, val_labels, predicted_metrics, lambda_2=lambda_2
+                )
+                check_finite_loss(arch_loss, self.method_name, "arch", epoch, step)
+                arch_loss.backward()
             self._arch_optimizer.step()
             epoch_hw.append(
                 self.cost_function(predicted_metrics).item() / self._combined_loss.cost_normalizer

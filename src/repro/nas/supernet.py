@@ -115,10 +115,12 @@ class MixedOp(Module):
             1-D tensor of length ``num_ops``.  With a hard Gumbel sample it is
             one-hot, so only one candidate contributes in the forward pass;
             candidates whose gate is exactly zero are skipped entirely to
-            save compute, but the gate multiplication keeps the architecture
-            logits on the gradient path.  When several gates are active (soft
-            relaxations) the candidates run through the fused batched-einsum
-            path instead of a per-candidate Python loop.
+            save compute.  In the searchers' architecture steps the gate
+            multiplication keeps the architecture logits on the gradient
+            path; their weight steps pass detached gates, so the product is
+            the same but no logit gradient is built.  When several gates are
+            active (soft relaxations) the candidates run through the fused
+            batched-einsum path instead of a per-candidate Python loop.
         """
         x = as_tensor(x)
         gate_values = gates.data.reshape(-1)

@@ -19,6 +19,7 @@ from repro.core import (
     DanceSearcher,
     EDAPCostFunction,
     LinearCostFunction,
+    NonFiniteLossError,
     RLCoExplorationConfig,
     RLCoExplorationSearcher,
     SearchResult,
@@ -176,6 +177,117 @@ class TestBaselineSearch:
         assert small_space.architecture_flops(with_penalty.op_indices) <= small_space.architecture_flops(
             no_penalty.op_indices
         )
+
+
+def _dance(small_space, small_cost_table, trained_evaluator, tiny_images):
+    searcher = DanceSearcher(
+        small_space, trained_evaluator, small_cost_table, config=FAST_SEARCH, rng=0
+    )
+    searcher.setup(*tiny_images)
+    return searcher
+
+
+def _baseline(small_space, small_cost_table, tiny_images, flops_penalty=0.0):
+    config = BaselineConfig(search_epochs=2, batch_size=32, flops_penalty=flops_penalty)
+    searcher = BaselineSearcher(small_space, small_cost_table, config=config, rng=0)
+    searcher.setup(*tiny_images)
+    return searcher
+
+
+class TestSearchStepGradients:
+    """Weight steps never build an alpha gradient; arch steps only build alpha's."""
+
+    @staticmethod
+    def _spy_on_optimizers(monkeypatch, searcher):
+        """Record, at every optimiser step, which gradients the step can read."""
+        seen = []
+        alpha = searcher._arch_params.alpha
+        weights = searcher._supernet.parameters()
+        weight_step = searcher._weight_optimizer.step
+        arch_step = searcher._arch_optimizer.step
+
+        def spy_weight_step():
+            seen.append(("weight", alpha.grad is None))
+            weight_step()
+
+        def spy_arch_step():
+            seen.append(("arch", all(param.grad is None for param in weights)))
+            arch_step()
+            alpha.grad = None  # so the next weight step must not build one
+
+        monkeypatch.setattr(searcher._weight_optimizer, "step", spy_weight_step)
+        monkeypatch.setattr(searcher._arch_optimizer, "step", spy_arch_step)
+        return seen
+
+    def test_dance_step(self, monkeypatch, small_space, small_cost_table, trained_evaluator, tiny_images):
+        searcher = _dance(small_space, small_cost_table, trained_evaluator, tiny_images)
+        seen = self._spy_on_optimizers(monkeypatch, searcher)
+        searcher.step()
+        assert [stage for stage, _ in seen] == ["weight", "arch"] * (len(seen) // 2)
+        assert seen and all(clean for _, clean in seen)
+        assert all(param.requires_grad for param in searcher._supernet.parameters())
+        assert not any(param.requires_grad for param in trained_evaluator.parameters())
+        assert searcher._arch_params.alpha.requires_grad
+
+    @pytest.mark.parametrize("flops_penalty", [0.0, 5.0])
+    def test_baseline_step(self, monkeypatch, small_space, small_cost_table, tiny_images, flops_penalty):
+        searcher = _baseline(small_space, small_cost_table, tiny_images, flops_penalty)
+        seen = self._spy_on_optimizers(monkeypatch, searcher)
+        searcher.step()
+        assert [stage for stage, _ in seen] == ["weight", "arch"] * (len(seen) // 2)
+        assert seen and all(clean for _, clean in seen)
+        assert all(param.requires_grad for param in searcher._supernet.parameters())
+
+
+class TestNonFiniteLoss:
+    """A NaN loss stops the search, naming it, before any optimiser step."""
+
+    @staticmethod
+    def _nan_from_call(monkeypatch, head, first_nan_call):
+        loss = head.loss
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(None)
+            value = loss(*args, **kwargs)
+            return value * float("nan") if len(calls) >= first_nan_call else value
+
+        monkeypatch.setattr(head, "loss", patched)
+
+    @staticmethod
+    def _forbid_steps(monkeypatch, searcher, *optimizers):
+        for name in optimizers:
+            optimizer = getattr(searcher, name)
+            monkeypatch.setattr(optimizer, "step", lambda name=name: pytest.fail(f"{name} stepped"))
+
+    @pytest.mark.parametrize("stage, first_nan_call", [("weight", 1), ("arch", 2)])
+    def test_dance(self, monkeypatch, small_space, small_cost_table, trained_evaluator, tiny_images, stage, first_nan_call):
+        searcher = _dance(small_space, small_cost_table, trained_evaluator, tiny_images)
+        before = [param.data.copy() for param in searcher._supernet.parameters()]
+        self._nan_from_call(monkeypatch, searcher.task_head, first_nan_call)
+        forbidden = ["_arch_optimizer"] + (["_weight_optimizer"] if stage == "weight" else [])
+        self._forbid_steps(monkeypatch, searcher, *forbidden)
+        with pytest.raises(NonFiniteLossError) as caught:
+            searcher.step()
+        error = caught.value
+        assert (error.method, error.stage, error.epoch, error.batch) == ("DANCE", stage, 0, 0)
+        assert np.isnan(error.value)
+        assert f"non-finite {stage} loss" in str(error) and "epoch 0, batch 0" in str(error)
+        assert all(param.requires_grad for param in searcher._supernet.parameters())
+        if stage == "weight":
+            after = [param.data for param in searcher._supernet.parameters()]
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("stage, first_nan_call", [("weight", 1), ("arch", 2)])
+    def test_baseline(self, monkeypatch, small_space, small_cost_table, tiny_images, stage, first_nan_call):
+        searcher = _baseline(small_space, small_cost_table, tiny_images)
+        self._nan_from_call(monkeypatch, searcher.task_head, first_nan_call)
+        forbidden = ["_arch_optimizer"] + (["_weight_optimizer"] if stage == "weight" else [])
+        self._forbid_steps(monkeypatch, searcher, *forbidden)
+        with pytest.raises(NonFiniteLossError) as caught:
+            searcher.step()
+        assert caught.value.method == "Baseline (No penalty) + HW"
+        assert (caught.value.stage, caught.value.epoch, caught.value.batch) == (stage, 0, 0)
 
 
 class TestRLCoExploration:

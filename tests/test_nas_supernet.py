@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,68 @@ class TestDerivedNetwork:
             network, train_set, val_set, ClassifierTrainingConfig(epochs=3, batch_size=16), rng=3
         )
         assert final >= initial
+
+
+def _arch_backward(space, frozen, detach_gates=False):
+    """One train-mode backward of a fixed batch through a fresh supernet."""
+    supernet = SuperNet(space, rng=0)
+    params = ArchitectureParameters(space, rng=1)
+    gates = params.sample_gumbel(temperature=1.0, hard=True, rng=2)
+    if detach_gates:
+        gates = gates.detach()
+    x = Tensor(np.random.default_rng(3).normal(size=(4, 3, 8, 8)))
+    scope = supernet.frozen() if frozen else contextlib.nullcontext()
+    with scope:
+        loss = cross_entropy(supernet(x, gates), np.array([0, 1, 2, 3]))
+        loss.backward()
+    return supernet, params, gates
+
+
+class TestFrozenArchStep:
+    """The searchers' architecture step: supernet frozen through the backward."""
+
+    def test_sampled_path_runs_convolutions_after_the_first_position(self, tiny_space):
+        _, _, gates = _arch_backward(tiny_space, frozen=True)
+        chosen = gates.data.argmax(axis=1)
+        assert any(chosen[position] != op_index("zero") for position in range(1, len(chosen)))
+
+    def test_alpha_grad_is_bit_identical_under_frozen(self, tiny_space):
+        _, reference, _ = _arch_backward(tiny_space, frozen=False)
+        _, frozen, _ = _arch_backward(tiny_space, frozen=True)
+        assert np.any(reference.alpha.grad != 0.0)
+        assert np.array_equal(frozen.alpha.grad, reference.alpha.grad)
+
+    def test_no_supernet_gradient_under_frozen(self, tiny_space):
+        supernet, _, _ = _arch_backward(tiny_space, frozen=True)
+        assert all(param.grad is None for param in supernet.parameters())
+        assert all(param.requires_grad for param in supernet.parameters())
+
+    def test_detached_gates_keep_weight_grads_and_build_no_alpha_grad(self, tiny_space):
+        reference, _, _ = _arch_backward(tiny_space, frozen=False)
+        detached, params, _ = _arch_backward(tiny_space, frozen=False, detach_gates=True)
+        assert params.alpha.grad is None
+        for (name, ref), (_, param) in zip(
+            reference.named_parameters(), detached.named_parameters()
+        ):
+            assert (ref.grad is None) == (param.grad is None), name
+            if ref.grad is not None:
+                assert np.array_equal(param.grad, ref.grad), name
+
+    def test_frozen_restores_flags_when_the_body_raises(self, tiny_space):
+        supernet = SuperNet(tiny_space, rng=0)
+        with pytest.raises(RuntimeError):
+            with supernet.frozen():
+                assert not any(param.requires_grad for param in supernet.parameters())
+                raise RuntimeError("boom")
+        assert all(param.requires_grad for param in supernet.parameters())
+
+    def test_frozen_leaves_an_already_frozen_module_frozen(self, tiny_space):
+        supernet = SuperNet(tiny_space, rng=0)
+        supernet.stem.freeze()
+        with supernet.frozen():
+            pass
+        assert not any(param.requires_grad for param in supernet.stem.parameters())
+        assert all(param.requires_grad for param in supernet.head.parameters())
+        with supernet.stem.frozen():
+            pass
+        assert not any(param.requires_grad for param in supernet.stem.parameters())

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""cProfile harness for the supernet training step.
+"""cProfile harness for the supernet search step.
 
-Runs a few supernet train steps under cProfile and prints the hottest
-functions.  Each step samples hard Gumbel gates, exactly as the DANCE and
-baseline searchers do, then runs forward + backward + a supernet and
-architecture optimiser step — the inner loop every search method pays for.
+Runs a few search steps under cProfile and prints the hottest functions.
+Each step is the pair the DANCE and baseline searchers run per batch:
+
+* a **weight step** on a training batch: hard Gumbel gates sampled and
+  detached, the task head's label-smoothed loss, backward into the supernet
+  weights and an SGD step;
+* an **architecture step** on a second (validation) batch: fresh hard gates,
+  forward and backward inside ``supernet.frozen()`` so only the architecture
+  logits receive gradients, and an Adam step on them.
+
 The quickest way to check where an autograd change moved the bottleneck::
 
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
@@ -12,9 +18,10 @@ The quickest way to check where an autograd change moved the bottleneck::
 ``--float32`` profiles the opt-in precision policy and ``--no-plans`` the
 legacy im2col/col2im lowering (both documented in docs/performance.md), so
 the relative cost of each tier can be read off directly.
-``--backward-only`` builds each step's forward graph outside the profiler
-and profiles just ``backward()`` + the optimiser steps — the view that
-isolates the weight-gradient contraction and the col2im folds.
+``--backward-only`` builds both forward graphs outside the profiler and
+profiles just the two ``backward()`` calls + the optimiser steps: the weight
+backward carries the weight-gradient contractions, the architecture backward
+only the input gradients (col2im folds) on the way to the logits.
 """
 
 from __future__ import annotations
@@ -78,46 +85,53 @@ def main() -> int:
             gate_rng = np.random.default_rng(2)
             weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
             arch_opt = Adam([arch_params.alpha], lr=0.001)
-            images = np.random.default_rng(0).normal(size=(args.batch, 3, 8, 8))
+            data_rng = np.random.default_rng(0)
+            batches = [
+                (
+                    Tensor(data_rng.normal(size=(args.batch, 3, 8, 8))),
+                    data_rng.integers(0, space.num_classes, size=args.batch),
+                )
+                for _ in range(2)
+            ]
 
-            def forward():
-                supernet.zero_grad()
-                arch_params.zero_grad()
-                gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
-                logits = supernet(Tensor(images), gates)
-                return (logits * logits).mean()
-
-            def optimise() -> None:
-                weight_opt.step()
-                arch_opt.step()
-
-            def step() -> None:
-                forward().backward()
-                optimise()
-
-            step()  # warm caches (conv plans, BLAS) outside the profile
+            def loss(batch, gates):
+                images, labels = batch
+                return space.output_head.loss(supernet(images, gates), labels, label_smoothing=0.1)
 
             profiler = cProfile.Profile()
-            if args.backward_only:
-                # Build each forward graph un-profiled; profile only the
-                # backward walk and the optimiser updates.
-                for _ in range(args.steps):
-                    loss = forward()
-                    profiler.enable()
-                    loss.backward()
-                    optimise()
-                    profiler.disable()
-            else:
-                profiler.enable()
-                for _ in range(args.steps):
-                    step()
-                profiler.disable()
+
+            def step(profiled: bool) -> None:
+                def phase(backward: bool):
+                    on = profiled and (backward or not args.backward_only)
+                    return profiler if on else contextlib.nullcontext()
+
+                train_batch, val_batch = batches
+                with phase(backward=False):
+                    gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
+                    weight_loss = loss(train_batch, gates)
+                with phase(backward=True):
+                    weight_opt.zero_grad()
+                    weight_loss.backward()
+                    weight_opt.step()
+                with supernet.frozen():
+                    with phase(backward=False):
+                        gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
+                        arch_loss = loss(val_batch, gates)
+                    with phase(backward=True):
+                        arch_opt.zero_grad()
+                        weight_opt.zero_grad()
+                        arch_loss.backward()
+                        arch_opt.step()
+
+            step(profiled=False)  # warm caches (conv plans, BLAS) outside the profile
+            for _ in range(args.steps):
+                step(profiled=True)
     finally:
         set_plans_enabled(previous_plans)
 
     stats = pstats.Stats(profiler)
     print(
-        f"profiled {args.steps} supernet step(s): batch={args.batch}, "
+        f"profiled {args.steps} search step(s) (weight + arch): batch={args.batch}, "
         f"channels={args.channels}, dtype={'float32' if args.float32 else 'float64'}, "
         f"plans={'off' if args.no_plans else 'on'}, gates=hard"
         + (", backward-only" if args.backward_only else "")
