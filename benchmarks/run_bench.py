@@ -291,14 +291,19 @@ def main() -> int:
         # Input-gradient backward with frozen weights — the relay regime of
         # co-exploration (the frozen network only passes gradients through
         # to the architecture parameters).  The graph must be rebuilt under
-        # the current plan setting so the fold path matches it.
+        # the current plan setting so the fold path matches it, and backward
+        # releases the graph it walks: every call gets its own, built before
+        # the clock starts so only the backward is timed.
         x = Tensor(conv_x, requires_grad=True)
-        out = conv2d(x, Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
-        seed = np.ones_like(out.data)
+        graphs = [
+            conv2d(x, Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
+            for _ in range(4)  # one warm-up call + three timed repeats
+        ]
+        seed = np.ones_like(graphs[0].data)
 
         def backward_once() -> None:
             x.grad = None
-            out.backward(seed)
+            graphs.pop().backward(seed)
 
         backward_once()
         return _time(backward_once, repeats=3)

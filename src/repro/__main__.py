@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-retrain",
         action="store_true",
-        help="skip the final from-scratch retraining (accuracy reported as NaN)",
+        help="skip the final from-scratch retraining (no accuracy is reported)",
     )
     _add_common_run_options(run)
 

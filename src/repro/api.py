@@ -30,7 +30,6 @@ for *all* documents (one version, one contract — see ``docs/serve.md``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -264,7 +263,7 @@ def pareto_records(named_results: Sequence[Tuple[str, Any]]) -> List[Dict[str, A
     """Error-vs-EDAP records of finished runs, flagging the Pareto front.
 
     Dominance is computed with :func:`repro.hwmodel.metrics.pareto_front`
-    over ``(error, EDAP)``; runs without a finite accuracy
+    over ``(error, EDAP)``; runs without an accuracy
     (``retrain_final=false``) have no error coordinate and are excluded.
     Records are sorted by EDAP, so the surviving points read as the
     Figure-5 front left to right.
@@ -272,7 +271,7 @@ def pareto_records(named_results: Sequence[Tuple[str, Any]]) -> List[Dict[str, A
     from repro.hwmodel.metrics import HardwareMetrics, pareto_front
 
     named = [
-        (name, result) for name, result in named_results if math.isfinite(result.accuracy)
+        (name, result) for name, result in named_results if result.accuracy is not None
     ]
     # Index payloads keep front membership per *run*, immune to any name
     # collision between results passed in by a caller.

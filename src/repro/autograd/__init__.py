@@ -23,7 +23,9 @@ from repro.autograd.tensor import Tensor, as_tensor, concatenate, narrow, stack,
 from repro.autograd.module import Module, Parameter
 from repro.autograd import functional
 from repro.autograd.functional import (
+    NonFiniteLossError,
     accuracy,
+    check_finite_loss,
     cross_entropy,
     gumbel_softmax,
     log_softmax,
@@ -67,7 +69,9 @@ __all__ = [
     "Module",
     "Parameter",
     "functional",
+    "NonFiniteLossError",
     "accuracy",
+    "check_finite_loss",
     "cross_entropy",
     "gumbel_softmax",
     "log_softmax",

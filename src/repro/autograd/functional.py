@@ -4,7 +4,9 @@ These are the operations the DANCE pipeline needs on top of the raw Tensor
 ops: numerically-stable softmax / log-softmax, the Gumbel-softmax relaxation
 used at the output of the hardware generation network (Section 3.3 of the
 paper), cross-entropy with optional label smoothing, and the MSRE loss
-(Eq. 2) used to train the cost estimation network.
+(Eq. 2) used to train the cost estimation network — plus the finiteness
+guard (:func:`check_finite_loss`) every gradient training loop applies to
+its loss before an optimiser step.
 """
 
 from __future__ import annotations
@@ -191,6 +193,25 @@ def msre_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray], eps: floa
     ratio = predictions * Tensor(1.0 / targets_arr)
     diff = 1.0 - ratio
     return (diff * diff).mean()
+
+
+class NonFiniteLossError(FloatingPointError):
+    """A training loss came out NaN or infinite, before any optimiser step used it."""
+
+    def __init__(self, method: str, stage: str, epoch: int, batch: int, value: float) -> None:
+        super().__init__(
+            f"{method}: non-finite {stage} loss {value!r} at epoch {epoch}, batch {batch}"
+        )
+        self.method, self.stage, self.epoch, self.batch, self.value = (
+            method, stage, epoch, batch, value
+        )
+
+
+def check_finite_loss(loss: Tensor, method: str, stage: str, epoch: int, batch: int) -> None:
+    """Raise :class:`NonFiniteLossError` unless the scalar ``loss`` is finite."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NonFiniteLossError(method, stage, epoch, batch, value)
 
 
 def accuracy(logits: Union[Tensor, np.ndarray], targets: np.ndarray) -> float:

@@ -49,6 +49,11 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
+def _released(grad: np.ndarray) -> None:
+    """Closure of a graph node whose backward has already run."""
+    raise RuntimeError("backward() through a graph that has already been backpropagated")
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after a broadcasted operation.
 
@@ -439,6 +444,14 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate gradients from this tensor to all ancestors.
 
+        The graph is released as it is walked (torch's default
+        ``retain_graph=False``): once a non-leaf node's closure has run, its
+        ``.grad``, closure and parents are dropped, so each saved activation
+        is freed as soon as its last consumer has backpropagated.  Leaves
+        (tensors no operation produced, e.g. parameters) keep their
+        ``.grad``.  A second ``backward()`` that reaches a released node
+        raises :class:`RuntimeError`; rebuild the graph with a new forward.
+
         Parameters
         ----------
         grad:
@@ -471,9 +484,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _released
 
 
 def as_tensor(value: ArrayLike) -> Tensor:

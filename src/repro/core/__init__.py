@@ -21,7 +21,7 @@ from repro.core.cost_functions import (
     LinearCostFunction,
     get_cost_function,
 )
-from repro.core.loss import CoExplorationLoss, LossBreakdown, NonFiniteLossError
+from repro.core.loss import CoExplorationLoss, LossBreakdown
 from repro.core.results import SearchResult, format_comparison_table, format_results_table
 from repro.core.rl_coexplore import RLCoExplorationConfig, RLCoExplorationSearcher
 from repro.core.train_utils import (
@@ -42,7 +42,6 @@ __all__ = [
     "get_cost_function",
     "CoExplorationLoss",
     "LossBreakdown",
-    "NonFiniteLossError",
     "SearchResult",
     "format_comparison_table",
     "format_results_table",

@@ -20,11 +20,11 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.autograd.functional import check_finite_loss
 from repro.autograd.optim import Adam, SGD
 from repro.autograd.scheduler import CosineAnnealingLR
 from repro.autograd.tensor import Tensor
 from repro.core.cost_functions import HardwareCostFunction, EDAPCostFunction
-from repro.core.loss import check_finite_loss
 from repro.core.results import SearchResult
 from repro.core.train_utils import ClassifierTrainingConfig, train_classifier
 from repro.data.loaders import DataLoader
@@ -128,7 +128,7 @@ class BaselineSearcher:
 
         Same step pair as :meth:`repro.core.co_explore.DanceSearcher.step`:
         weight steps with detached gates, architecture steps with the
-        supernet frozen, and :class:`~repro.core.loss.NonFiniteLossError`
+        supernet frozen, and :class:`~repro.autograd.functional.NonFiniteLossError`
         on a NaN/inf loss.
         """
         config = self.config
@@ -200,10 +200,13 @@ class BaselineSearcher:
                 final_network, self._train_set, self._val_set, config.final_training, rng=self._rng
             )
         else:
-            final_accuracy = float("nan")
+            final_accuracy = None
         logger.info(
-            "%s: arch=%s acc=%.3f edap=%.2f",
-            self.method_name, derived.op_names, final_accuracy, oracle_metrics.edap,
+            "%s: arch=%s acc=%s edap=%.2f",
+            self.method_name,
+            derived.op_names,
+            "skipped" if final_accuracy is None else f"{final_accuracy:.3f}",
+            oracle_metrics.edap,
         )
         return SearchResult(
             method=self.method_name,

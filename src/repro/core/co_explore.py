@@ -16,7 +16,7 @@ One search run alternates, within each epoch, between
   this step's forward and backward, so only the logits receive gradients.
 
 A NaN or infinite weight or architecture loss raises
-:class:`~repro.core.loss.NonFiniteLossError` before any optimiser step.
+:class:`~repro.autograd.functional.NonFiniteLossError` before any optimiser step.
 
 After the search, the most likely architecture is derived, a one-time exact
 hardware generation is run with the oracle (as the paper does), and the
@@ -39,11 +39,12 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.autograd.functional import check_finite_loss
 from repro.autograd.optim import Adam, SGD
 from repro.autograd.scheduler import CosineAnnealingLR
 from repro.autograd.tensor import Tensor
 from repro.core.cost_functions import EDAPCostFunction, HardwareCostFunction
-from repro.core.loss import CoExplorationLoss, check_finite_loss
+from repro.core.loss import CoExplorationLoss
 from repro.core.results import SearchResult
 from repro.core.train_utils import ClassifierTrainingConfig, train_classifier
 from repro.core.warmup import LambdaWarmup
@@ -158,7 +159,7 @@ class DanceSearcher:
         (every ``arch_update_period`` batches) an architecture step on a
         validation batch with the supernet frozen, whose backward computes
         only the gradient of alpha.  Raises
-        :class:`~repro.core.loss.NonFiniteLossError` on a NaN/inf loss,
+        :class:`~repro.autograd.functional.NonFiniteLossError` on a NaN/inf loss,
         before the optimiser step that would consume it.
         """
         config = self.config
@@ -319,13 +320,13 @@ class DanceSearcher:
                 final_network, train_set, val_set, self.config.final_training, rng=self._rng
             )
         else:
-            final_accuracy = float("nan")
+            final_accuracy = None
         logger.info(
-            "%s: arch=%s hw=%s acc=%.3f edap=%.2f",
+            "%s: arch=%s hw=%s acc=%s edap=%.2f",
             method_name,
             derived.op_names,
             best_config.as_dict(),
-            final_accuracy,
+            "skipped" if final_accuracy is None else f"{final_accuracy:.3f}",
             oracle_metrics.edap,
         )
         return SearchResult(

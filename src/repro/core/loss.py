@@ -36,25 +36,6 @@ class LossBreakdown:
         return self.cross_entropy + self.weight_decay + self.lambda_2 * self.hardware_cost
 
 
-class NonFiniteLossError(FloatingPointError):
-    """A search loss came out NaN or infinite, before any optimiser step used it."""
-
-    def __init__(self, method: str, stage: str, epoch: int, batch: int, value: float) -> None:
-        super().__init__(
-            f"{method}: non-finite {stage} loss {value!r} at epoch {epoch}, batch {batch}"
-        )
-        self.method, self.stage, self.epoch, self.batch, self.value = (
-            method, stage, epoch, batch, value
-        )
-
-
-def check_finite_loss(loss: Tensor, method: str, stage: str, epoch: int, batch: int) -> None:
-    """Raise :class:`NonFiniteLossError` unless the scalar ``loss`` is finite."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise NonFiniteLossError(method, stage, epoch, batch, value)
-
-
 class CoExplorationLoss:
     """Builds the combined differentiable loss of Eq. 1.
 

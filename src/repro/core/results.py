@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +23,8 @@ class SearchResult:
     op_indices:
         The derived discrete architecture.
     accuracy:
-        Validation accuracy of the derived architecture after final training.
+        Validation accuracy of the derived architecture after final training;
+        ``None`` when the run skipped it (``retrain_final=false``).
     hardware:
         The accelerator configuration chosen for the architecture (from the
         one-time exact hardware generation after the search).  Any backend's
@@ -41,7 +43,7 @@ class SearchResult:
 
     method: str
     op_indices: np.ndarray
-    accuracy: float
+    accuracy: Optional[float]
     hardware: object
     metrics: HardwareMetrics
     search_seconds: float
@@ -59,15 +61,15 @@ class SearchResult:
         return self.metrics.edap
 
     @property
-    def error(self) -> float:
+    def error(self) -> Optional[float]:
         """Classification error (1 - accuracy), the y-axis of Figure 5."""
-        return 1.0 - self.accuracy
+        return None if self.accuracy is None else 1.0 - self.accuracy
 
-    def row(self) -> Dict[str, float]:
+    def row(self) -> Dict[str, Any]:
         """Flat record used by the table formatters and benchmarks."""
         return {
             "method": self.method,
-            "accuracy_pct": 100.0 * self.accuracy,
+            "accuracy_pct": None if self.accuracy is None else 100.0 * self.accuracy,
             "latency_ms": self.metrics.latency_ms,
             "energy_mj": self.metrics.energy_mj,
             "area_mm2": self.metrics.area_mm2,
@@ -78,11 +80,17 @@ class SearchResult:
         }
 
     def to_dict(self) -> Dict:
-        """Lossless plain-dict form (floats survive JSON round-trips bit-exactly)."""
+        """Lossless plain-dict form (floats survive JSON round-trips bit-exactly).
+
+        A missing accuracy is stored as NaN, the ``result.json`` token the
+        golden runs pin; :meth:`from_dict` reads it back as ``None``, and
+        :func:`repro.utils.serialization.dumps_strict` nulls it on every
+        strict-JSON surface.
+        """
         return {
             "method": self.method,
             "op_indices": [int(index) for index in self.op_indices],
-            "accuracy": self.accuracy,
+            "accuracy": math.nan if self.accuracy is None else self.accuracy,
             "backend": self.backend_name,
             "hardware": self.hardware.as_dict(),
             "metrics": {
@@ -103,7 +111,7 @@ class SearchResult:
         return cls(
             method=data["method"],
             op_indices=np.asarray(data["op_indices"], dtype=np.int64),
-            accuracy=float(data["accuracy"]),
+            accuracy=stored_accuracy(data["accuracy"]),
             hardware=backend.config_from_dict(data["hardware"]),
             metrics=HardwareMetrics(
                 latency_ms=data["metrics"]["latency_ms"],
@@ -114,6 +122,26 @@ class SearchResult:
             candidates_trained=int(data["candidates_trained"]),
             history=list(data["history"]),
         )
+
+
+def stored_accuracy(value: Any) -> Optional[float]:
+    """A ``result.json`` accuracy as a float, or ``None`` when it is missing.
+
+    Runs that skipped the final retraining store NaN (or, once strict-JSON
+    encoded, ``null``); both read back as ``None``.  Anything else that is
+    not a number raises, as ``float`` does.
+    """
+    if value is None:
+        return None
+    accuracy = float(value)
+    return accuracy if math.isfinite(accuracy) else None
+
+
+def _accuracy_cell(result: SearchResult) -> str:
+    """The 9-wide ``Acc.(%)`` column: a percentage, or "—" when there is none."""
+    if result.accuracy is None:
+        return f"{'—':>9}"
+    return f"{100.0 * result.accuracy:>9.1f}"
 
 
 def _method_label(result: SearchResult) -> str:
@@ -139,7 +167,7 @@ def format_results_table(results: Sequence[SearchResult], title: Optional[str] =
     for result in results:
         lines.append(
             f"{_method_label(result):<32}"
-            f"{100.0 * result.accuracy:>9.1f}"
+            f"{_accuracy_cell(result)}"
             f"{result.metrics.latency_ms:>10.2f}"
             f"{result.metrics.energy_mj:>9.2f}"
             f"{result.metrics.edap:>10.1f}"
@@ -160,7 +188,7 @@ def format_comparison_table(results: Sequence[SearchResult], title: Optional[str
         search_type = "gradient" if result.candidates_trained <= 1 else "RL"
         lines.append(
             f"{_method_label(result):<32}"
-            f"{100.0 * result.accuracy:>9.1f}"
+            f"{_accuracy_cell(result)}"
             f"{result.search_seconds:>11.1f}"
             f"{result.candidates_trained:>13d}"
             f"{search_type:>10}"

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.autograd.functional import cross_entropy, msre_loss
+from repro.autograd.functional import check_finite_loss, cross_entropy, msre_loss
 from repro.autograd.optim import Adam, SGD
 from repro.autograd.scheduler import StepLR
 from repro.autograd.tensor import Tensor
@@ -51,7 +51,11 @@ def train_hw_generation_network(
     lr_step: int = 50,
     rng: Optional[Union[int, np.random.Generator]] = None,
 ) -> TrainingHistory:
-    """Train the hardware generation network as a per-field classifier (CE loss)."""
+    """Train the hardware generation network as a per-field classifier (CE loss).
+
+    Raises :class:`~repro.autograd.functional.NonFiniteLossError` on a
+    NaN/inf batch loss, before the optimiser step that would consume it.
+    """
     generator = as_rng(rng)
     optimizer = SGD(network.parameters(), lr=lr, momentum=0.9)
     scheduler = StepLR(optimizer, step_size=lr_step, gamma=0.1)
@@ -60,7 +64,7 @@ def train_hw_generation_network(
     for epoch in range(epochs):
         scheduler.step(epoch)
         epoch_losses: List[float] = []
-        for batch_indices in train_data.batches(batch_size, rng=generator):
+        for batch, batch_indices in enumerate(train_data.batches(batch_size, rng=generator)):
             arch = Tensor(train_data.arch_encodings[batch_indices])
             logits = network(arch)
             loss = None
@@ -68,6 +72,7 @@ def train_hw_generation_network(
                 targets = train_data.hw_class_indices[field_name][batch_indices]
                 field_loss = cross_entropy(logits[field_name], targets)
                 loss = field_loss if loss is None else loss + field_loss
+            check_finite_loss(loss, "Evaluator", "hardware-generation", epoch, batch)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -91,7 +96,11 @@ def train_cost_estimation_network(
     lr: float = 1e-3,
     rng: Optional[Union[int, np.random.Generator]] = None,
 ) -> TrainingHistory:
-    """Train the cost estimation network with the MSRE loss (Eq. 2)."""
+    """Train the cost estimation network with the MSRE loss (Eq. 2).
+
+    Raises :class:`~repro.autograd.functional.NonFiniteLossError` on a
+    NaN/inf batch loss, before the optimiser step that would consume it.
+    """
     generator = as_rng(rng)
     network.calibrate(train_data.metric_targets)
     optimizer = Adam(network.parameters(), lr=lr)
@@ -99,12 +108,13 @@ def train_cost_estimation_network(
     network.train()
     for epoch in range(epochs):
         epoch_losses: List[float] = []
-        for batch_indices in train_data.batches(batch_size, rng=generator):
+        for batch, batch_indices in enumerate(train_data.batches(batch_size, rng=generator)):
             arch = Tensor(train_data.arch_encodings[batch_indices])
             hw = Tensor(train_data.hw_encodings[batch_indices]) if network.feature_forwarding else None
             targets = train_data.metric_targets[batch_indices]
             predictions = network(arch, hw)
             loss = msre_loss(predictions, targets)
+            check_finite_loss(loss, "Evaluator", "cost-estimation", epoch, batch)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -43,7 +43,7 @@ from repro.utils.serialization import save_json
 logger = get_logger("experiments.browser.cache")
 
 #: Bump on any change to the summary record layout or meaning.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CACHE_FILE = ".browser_cache.json"
 
 

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.results import SearchResult
+from repro.core.results import SearchResult, stored_accuracy
 from repro.hwmodel.metrics import HardwareMetrics
 
 #: Artefact file names whose stat signature keys the cache.  ``LOCK`` is
@@ -322,7 +322,7 @@ def _extract_result(summary: RunSummary, payload: bytes) -> None:
     # numbers, as from_dict passes them to HardwareMetrics unconverted.
     summary.result_method = data["method"]
     summary.result_backend = data.get("backend", "eyeriss")
-    summary.accuracy = float(data["accuracy"])
+    summary.accuracy = stored_accuracy(data["accuracy"])
     summary.latency_ms = metrics["latency_ms"]
     summary.energy_mj = metrics["energy_mj"]
     summary.area_mm2 = metrics["area_mm2"]

@@ -384,7 +384,7 @@ class Runner:
         """Render the Pareto records as a Figure-5 style text table."""
         title = "Error-vs-EDAP Pareto front (Figure 5 style)"
         if not records:
-            return f"{title}\n(no finished runs with finite accuracy)"
+            return f"{title}\n(no finished runs with an accuracy)"
         width = max(len("Run"), *(len(record["run"]) for record in records)) + 2
         header = f"{'Run':<{width}}{'Err.(%)':>9}{'EDAP':>12}{'Front':>7}"
         lines = [title, header, "-" * len(header)]

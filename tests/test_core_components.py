@@ -183,3 +183,15 @@ class TestResults:
         rl_result.candidates_trained = 50
         table = format_comparison_table([gradient_result, rl_result])
         assert "gradient" in table and "RL" in table
+
+    def test_missing_accuracy_prints_a_dash(self):
+        # retrain_final=false: no accuracy, no error coordinate, "—" in tables.
+        skipped = self._result("Skipped", accuracy=None)
+        assert skipped.error is None and skipped.row()["accuracy_pct"] is None
+        for formatter in (format_results_table, format_comparison_table):
+            lines = formatter([self._result("Trained"), skipped]).splitlines()
+            trained_row, skipped_row = lines[-2], lines[-1]
+            assert "nan" not in skipped_row.lower()
+            assert trained_row[32:41] == "     90.0"
+            assert skipped_row[32:41] == "        —"
+            assert len(skipped_row) == len(trained_row)

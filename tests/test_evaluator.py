@@ -230,3 +230,65 @@ class TestCombinedEvaluator:
         evaluator.cost_estimation.calibrate(dataset.metric_targets)
         accuracy = evaluator.end_to_end_accuracy(dataset.arch_encodings[:32], dataset.metric_targets[:32])
         assert set(accuracy) == set(METRIC_ORDER)
+
+
+class TestNonFiniteTrainingLoss:
+    """A NaN batch loss stops evaluator training before the optimiser consumes it."""
+
+    @staticmethod
+    def _nan_from_call(monkeypatch, name, first_nan_call):
+        import repro.evaluator.training as training
+
+        real = getattr(training, name)
+        calls = {"n": 0}
+
+        def patched(*args, **kwargs):
+            calls["n"] += 1
+            loss = real(*args, **kwargs)
+            return loss * float("nan") if calls["n"] >= first_nan_call else loss
+
+        monkeypatch.setattr(training, name, patched)
+
+    @staticmethod
+    def _count_steps(monkeypatch, optimizer_cls):
+        steps = {"n": 0}
+        real_step = optimizer_cls.step
+
+        def counting_step(self):
+            steps["n"] += 1
+            real_step(self)
+
+        monkeypatch.setattr(optimizer_cls, "step", counting_step)
+        return steps
+
+    def test_hw_generation_training_raises_before_step(self, monkeypatch, dataset):
+        from repro.autograd import SGD, NonFiniteLossError
+
+        network = HardwareGenerationNetwork(dataset.encoding, hidden_features=16, rng=0)
+        before = [param.data.copy() for param in network.parameters()]
+        self._nan_from_call(monkeypatch, "cross_entropy", first_nan_call=1)
+        steps = self._count_steps(monkeypatch, SGD)
+        with pytest.raises(NonFiniteLossError) as caught:
+            train_hw_generation_network(network, dataset, epochs=2, batch_size=64, rng=0)
+        error = caught.value
+        assert (error.method, error.stage, error.epoch, error.batch) == (
+            "Evaluator", "hardware-generation", 0, 0
+        )
+        assert np.isnan(error.value)
+        assert steps["n"] == 0
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, network.parameters()))
+
+    def test_cost_estimation_training_raises_before_step(self, monkeypatch, dataset):
+        from repro.autograd import Adam, NonFiniteLossError
+
+        network = CostEstimationNetwork(dataset.encoding, hidden_features=16, rng=0)
+        self._nan_from_call(monkeypatch, "msre_loss", first_nan_call=2)
+        steps = self._count_steps(monkeypatch, Adam)
+        with pytest.raises(NonFiniteLossError) as caught:
+            train_cost_estimation_network(network, dataset, epochs=2, batch_size=64, rng=0)
+        error = caught.value
+        assert (error.method, error.stage, error.epoch, error.batch) == (
+            "Evaluator", "cost-estimation", 0, 1
+        )
+        assert "non-finite cost-estimation loss" in str(error)
+        assert steps["n"] == 1  # the finite first batch stepped; the NaN one did not

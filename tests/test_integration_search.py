@@ -19,11 +19,11 @@ from repro.core import (
     DanceSearcher,
     EDAPCostFunction,
     LinearCostFunction,
-    NonFiniteLossError,
     RLCoExplorationConfig,
     RLCoExplorationSearcher,
     SearchResult,
 )
+from repro.autograd import NonFiniteLossError
 from repro.data import make_cifar_like, train_val_split
 from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
 from repro.hwmodel import tiny_search_space
