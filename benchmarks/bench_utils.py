@@ -47,7 +47,7 @@ def print_section(title: str) -> None:
 
 
 def legacy_build_cost_table(nas_space, hw_space, cost_model):
-    """Nested-loop cost-table construction, as the seed's LayerCostTable did it.
+    """Nested-loop cost-table construction, as the seed's cost table did it.
 
     Returns ``(fixed_latency, fixed_energy, op_latency, op_energy, area)``
     numpy arrays (bit-identical to the vectorised CostTable's tensors).

@@ -26,7 +26,10 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, BENCH_DIR)
+# tests/conv_reference.py, the legacy conv lowering, is the conv keys' "before" side.
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "tests"))
 
 import numpy as np
 
@@ -188,52 +191,18 @@ def main() -> int:
         print(f"{key + ':':<22}{before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
     # ------------------------------------------------------------------
-    # 6. Supernet mixed-op step: per-candidate loop vs fused batched einsum
-    #    (soft gates — every candidate active — the search-space-scaling
-    #    regime; hard one-hot gates never take the fused path)
-    # ------------------------------------------------------------------
-    from repro.autograd.functional import softmax
-    from repro.autograd.tensor import Tensor
-    from repro.nas import ArchitectureParameters, SuperNet
-
-    bench_space = build_cifar_search_space(
-        trainable_base_channels=8 if bench_scale() == "small" else 16
-    )
-    supernet = SuperNet(bench_space, rng=0)
-    arch_params = ArchitectureParameters(bench_space, rng=1)
-    step_batch = 16 if bench_scale() == "small" else 32
-    images = np.random.default_rng(0).normal(size=(step_batch, 3, 8, 8))
-
-    def supernet_step(fused: bool) -> None:
-        for mixed in supernet.mixed_ops:
-            mixed.fuse_soft_gates = fused
-        supernet.zero_grad()
-        arch_params.zero_grad()
-        logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
-        (logits * logits).mean().backward()
-
-    supernet_step(False)  # warm both paths before timing
-    supernet_step(True)
-    before = _time(lambda: supernet_step(False), repeats=3)
-    after = _time(lambda: supernet_step(True), repeats=3)
-    results["supernet_step"] = {
-        "before_s": before,
-        "after_s": after,
-        "speedup": before / after,
-        "batch": step_batch,
-        "positions": bench_space.num_searchable,
-    }
-    print(f"supernet_step:        {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
-
-    # ------------------------------------------------------------------
-    # 7. Autograd convolution kernels: cached index plans (gather im2col,
+    # 6. Autograd convolution kernels: cached index plans (gather im2col,
     #    bincount-scatter col2im, fused depthwise fold) vs the legacy
-    #    stride-trick/loop lowering.  Geometry: a depthwise MBConv-7 layer
-    #    at the search resolution — the col2im-dominated shape class that
+    #    stride-trick/loop lowering kept as the test oracle
+    #    (tests/conv_reference.py).  Geometry: a depthwise MBConv-7 layer at
+    #    the search resolution — the col2im-dominated shape class that
     #    motivates the plan cache.
     # ------------------------------------------------------------------
+    import conv_reference
+
     from repro.autograd import plans as conv_plans
-    from repro.autograd.conv import _col2im, conv2d
+    from repro.autograd.conv import conv2d
+    from repro.autograd.tensor import Tensor
 
     conv_batch = 8 if bench_scale() == "small" else 16
     conv_channels = 96 if bench_scale() == "small" else 144
@@ -249,13 +218,9 @@ def main() -> int:
         "groups": conv_channels,
     }
 
-    def _with_plans(enabled: bool, fn, repeats: int = 3) -> float:
-        previous = conv_plans.set_plans_enabled(enabled)
-        try:
-            fn()  # warm the path (and the plan cache) before timing
-            return _time(fn, repeats=repeats)
-        finally:
-            conv_plans.set_plans_enabled(previous)
+    def _warm_time(fn, repeats: int = 3) -> float:
+        fn()  # warm the path (and the plan cache) before timing
+        return _time(fn, repeats=repeats)
 
     plan = conv_plans.get_plan(
         conv_shape, (conv_kernel, conv_kernel), (1, 1), (conv_pad, conv_pad)
@@ -265,7 +230,7 @@ def main() -> int:
         size=(conv_batch, conv_channels * conv_kernel * conv_kernel, positions)
     )
     before = _time(
-        lambda: _col2im(
+        lambda: conv_reference.col2im(
             grad_cols,
             conv_shape,
             (conv_kernel, conv_kernel),
@@ -279,24 +244,23 @@ def main() -> int:
     results["col2im"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"col2im:               {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
-    def conv_forward() -> None:
-        conv2d(Tensor(conv_x), Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
+    def conv_forward(conv) -> None:
+        conv(Tensor(conv_x), Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
 
-    before = _with_plans(False, conv_forward)
-    after = _with_plans(True, conv_forward)
+    before = _warm_time(lambda: conv_forward(conv_reference.conv2d))
+    after = _warm_time(lambda: conv_forward(conv2d))
     results["conv_fwd"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"conv_fwd:             {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
-    def conv_backward() -> float:
+    def conv_backward(conv) -> float:
         # Input-gradient backward with frozen weights — the relay regime of
         # co-exploration (the frozen network only passes gradients through
-        # to the architecture parameters).  The graph must be rebuilt under
-        # the current plan setting so the fold path matches it, and backward
-        # releases the graph it walks: every call gets its own, built before
-        # the clock starts so only the backward is timed.
+        # to the architecture parameters).  Backward releases the graph it
+        # walks: every call gets its own, built before the clock starts so
+        # only the backward is timed.
         x = Tensor(conv_x, requires_grad=True)
         graphs = [
-            conv2d(x, Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
+            conv(x, Tensor(conv_w), stride=1, padding=conv_pad, groups=conv_channels)
             for _ in range(4)  # one warm-up call + three timed repeats
         ]
         seed = np.ones_like(graphs[0].data)
@@ -305,15 +269,10 @@ def main() -> int:
             x.grad = None
             graphs.pop().backward(seed)
 
-        backward_once()
-        return _time(backward_once, repeats=3)
+        return _warm_time(backward_once)
 
-    previous = conv_plans.set_plans_enabled(False)
-    try:
-        before = conv_backward()
-    finally:
-        conv_plans.set_plans_enabled(previous)
-    after = conv_backward()
+    before = conv_backward(conv_reference.conv2d)
+    after = conv_backward(conv2d)
     results["conv_bwd"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"conv_bwd:             {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
@@ -350,57 +309,48 @@ def main() -> int:
     }
     print(f"conv_bwd_weight:      {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
-    # Fused soft-gate mixed-op step: legacy lowering (plans disabled) vs the
-    # plan-cached lowering — the full-step view of the trivial-plan 1x1
-    # expand/project path, the cached depthwise gather/fold and the
-    # plan-tier weight gradient working together (float64, bit-identical).
-    before = _with_plans(False, lambda: supernet_step(True))
-    after = _with_plans(True, lambda: supernet_step(True))
-    results["mixedop_step"] = {
+    # ------------------------------------------------------------------
+    # 7. One soft-gate supernet train step (every candidate active) at
+    #    float32 (the opt-in train_dtype policy) against the same step at
+    #    the float64 default
+    # ------------------------------------------------------------------
+    from repro.autograd.functional import softmax
+    from repro.autograd.precision import use_dtype
+    from repro.nas import ArchitectureParameters, SuperNet
+
+    bench_space = build_cifar_search_space(
+        trainable_base_channels=8 if bench_scale() == "small" else 16
+    )
+    step_batch = 16 if bench_scale() == "small" else 32
+    images = np.random.default_rng(0).normal(size=(step_batch, 3, 8, 8))
+
+    def supernet_step(dtype: str):
+        with use_dtype(dtype):
+            supernet = SuperNet(bench_space, rng=0)
+            arch_params = ArchitectureParameters(bench_space, rng=1)
+
+        def step() -> None:
+            with use_dtype(dtype):
+                supernet.zero_grad()
+                arch_params.zero_grad()
+                logits = supernet(Tensor(images), softmax(arch_params.alpha, axis=-1))
+                (logits * logits).mean().backward()
+
+        return step
+
+    before = _warm_time(supernet_step("float64"))
+    after = _warm_time(supernet_step("float32"))
+    results["supernet_step_float32"] = {
         "before_s": before,
         "after_s": after,
         "speedup": before / after,
         "batch": step_batch,
         "positions": bench_space.num_searchable,
     }
-    print(f"mixedop_step:         {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
+    print(f"supernet_step_float32:{before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
     # ------------------------------------------------------------------
-    # 8. Supernet step at float32 (the opt-in train_dtype policy) against
-    #    the fused float64 step from section 6 on the same workload
-    # ------------------------------------------------------------------
-    from repro.autograd.precision import use_dtype
-
-    with use_dtype("float32"):
-        supernet32 = SuperNet(bench_space, rng=0)
-        arch32 = ArchitectureParameters(bench_space, rng=1)
-    for mixed in supernet32.mixed_ops:
-        mixed.fuse_soft_gates = True
-
-    def supernet_step_float32() -> None:
-        with use_dtype("float32"):
-            supernet32.zero_grad()
-            arch32.zero_grad()
-            logits = supernet32(Tensor(images), softmax(arch32.alpha, axis=-1))
-            (logits * logits).mean().backward()
-
-    supernet_step_float32()  # warm up
-    float64_step = results["supernet_step"]["after_s"]
-    after = _time(supernet_step_float32, repeats=3)
-    results["supernet_step_float32"] = {
-        "before_s": float64_step,
-        "after_s": after,
-        "speedup": float64_step / after,
-        "batch": step_batch,
-        "positions": bench_space.num_searchable,
-    }
-    print(
-        f"supernet_step_float32:{float64_step:8.3f} s -> {after:8.4f} s"
-        f"  ({float64_step/after:7.1f}x)"
-    )
-
-    # ------------------------------------------------------------------
-    # 9. Incremental report scanning (the results browser): the legacy
+    # 8. Incremental report scanning (the results browser): the legacy
     #    full-parse report scan over a sweep-sized run tree (every
     #    result.json through SearchResult.from_dict, per-directory status
     #    probes) against a warm incremental scan that serves unchanged
@@ -477,7 +427,7 @@ def main() -> int:
     print(f"report_scan:          {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
     # ------------------------------------------------------------------
-    # 10. The serve API (repro.serve over repro.api): a cold HTTP report
+    # 9. The serve API (repro.serve over repro.api): a cold HTTP report
     #     (?refresh=1 re-parses every run, rewrites the browser cache and
     #     re-renders the body) against a warm request answered from the
     #     server's resident report body, and a cold /v1/cost query (clears
@@ -543,7 +493,7 @@ def main() -> int:
         shutil.rmtree(serve_root, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # 11. Scheduler promotion decisions (ASHA over the checkpointed work
+    # 10. Scheduler promotion decisions (ASHA over the checkpointed work
     #     queue): a cold coordinator sync on a sweep-sized rung-0 tree —
     #     browser scan, score harvest, full cut, state write, retirement
     #     markers — against a warm re-sync on the settled schedule

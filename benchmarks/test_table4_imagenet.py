@@ -27,8 +27,9 @@ from repro.core import (
     format_results_table,
 )
 from repro.data import make_imagenet_like, train_val_split
-from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
+from repro.evaluator import Evaluator, generate_evaluator_dataset, train_evaluator
 from repro.experiments import Runner, execute_queued
+from repro.hwmodel import CostTable
 from repro.nas import build_imagenet_search_space
 
 from bench_utils import print_section, report
@@ -47,7 +48,7 @@ PAPER_TABLE4 = {
 @pytest.fixture(scope="module")
 def imagenet_setup(hw_space, budget):
     nas_space = build_imagenet_search_space(num_classes=20)
-    cost_table = LayerCostTable(nas_space, hw_space)
+    cost_table = CostTable(nas_space, hw_space)
     dataset = generate_evaluator_dataset(
         nas_space,
         hw_space,

@@ -54,14 +54,14 @@ def quick_coexploration(seed: int = 0, search_epochs: int = 2, num_eval_samples:
 
     from repro.core import ClassifierTrainingConfig, DanceConfig, DanceSearcher
     from repro.data import make_cifar_like, train_val_split
-    from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
-    from repro.hwmodel import tiny_search_space
+    from repro.evaluator import Evaluator, generate_evaluator_dataset, train_evaluator
+    from repro.hwmodel import CostTable, tiny_search_space
     from repro.nas import build_cifar_search_space
 
     rng = np.random.default_rng(seed)
     nas_space = build_cifar_search_space()
     hw_space = tiny_search_space()
-    cost_table = LayerCostTable(nas_space, hw_space)
+    cost_table = CostTable(nas_space, hw_space)
     dataset = generate_evaluator_dataset(
         nas_space, hw_space, num_samples=num_eval_samples, cost_table=cost_table, rng=rng
     )

@@ -13,13 +13,8 @@ from repro.autograd.precision import (
     set_default_dtype,
     use_dtype,
 )
-from repro.autograd.plans import (
-    clear_plan_cache,
-    plan_cache_info,
-    plans_enabled,
-    set_plans_enabled,
-)
-from repro.autograd.tensor import Tensor, as_tensor, concatenate, narrow, stack, where, no_grad
+from repro.autograd.plans import clear_plan_cache, plan_cache_info
+from repro.autograd.tensor import Tensor, as_tensor, concatenate, stack, where, no_grad
 from repro.autograd.module import Module, Parameter
 from repro.autograd import functional
 from repro.autograd.functional import (
@@ -57,12 +52,9 @@ __all__ = [
     "use_dtype",
     "clear_plan_cache",
     "plan_cache_info",
-    "plans_enabled",
-    "set_plans_enabled",
     "Tensor",
     "as_tensor",
     "concatenate",
-    "narrow",
     "stack",
     "where",
     "no_grad",

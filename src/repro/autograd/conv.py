@@ -6,40 +6,35 @@ implements Conv2d (with groups, so depthwise convolution is available),
 BatchNorm2d, pooling and a global-average-pool head on top of the autograd
 Tensor, using im2col so the heavy lifting happens inside numpy matmuls.
 
-Three raw-speed tiers sit on the hot path (see ``docs/performance.md``):
+Every convolution and pooling window lowers through the cached
+:mod:`repro.autograd.plans` tier (see ``docs/performance.md``): one
+precomputed gather per forward, written straight into the layout ``matmul``
+consumes, the ``matmul`` calls numpy's einsum would make (same operand
+strides, so the same BLAS accumulation order), and one bincount scatter-add
+(or, for depthwise layers, a fused tap-by-tap fold) per backward.  At the
+float64 default this is bit-identical to the historical stride-trick/loop/
+einsum lowering, which survives only as the parity oracle of the tests
+(``tests/conv_reference.py``).  1x1/stride-1/pad-0 geometries use zero-copy
+trivial plans.
 
-* **Cached index plans** — im2col/col2im *and the contractions* route
-  through the :mod:`repro.autograd.plans` cache: one precomputed gather per
-  forward, written straight into the layout ``matmul`` consumes, the
-  ``matmul`` calls numpy's einsum would make (same operand strides, so the
-  same BLAS accumulation order), and one bincount scatter-add per backward.
-  All of it is bit-identical to the historical stride-trick/loop/einsum
-  reference, kept below as ``_im2col``/``_col2im`` and the einsum fallbacks
-  of the ``*_contract`` helpers: the plans-disabled lowering, the parity
-  oracle of the tests.  1x1/stride-1/pad-0 geometries use zero-copy trivial
-  plans.
-* **Precision policy** — kernels compute in the tensors' dtype (the
-  :mod:`repro.autograd.precision` policy).  At the float64 default the
-  contractions round exactly as the legacy einsums; under the opt-in
-  float32 training policy they switch to the faster batched-``matmul``
-  forms, which are tolerance-equal, not bit-equal — acceptable by
-  construction, since float32 training is itself a tolerance regime.
-* **Batch threading** — ``REPRO_NUM_THREADS=N`` chunks the conv2d batch axis
-  over a thread pool (:mod:`repro.autograd.parallel`); off by default.
+Kernels compute in the tensors' dtype (the :mod:`repro.autograd.precision`
+policy).  Under the opt-in float32 training policy the forward and column
+gradient contractions are batched ``matmul`` calls over the plan's legacy
+column layout instead — tolerance-equal, not bit-equal, which is the float32
+regime's contract.
 
 Data layout is NCHW throughout.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.autograd import init
 from repro.autograd.module import Module, Parameter
-from repro.autograd.parallel import batch_spans, get_pool, num_threads
-from repro.autograd.plans import ConvPlan, get_plan, plans_enabled
+from repro.autograd.plans import get_plan
 from repro.autograd.precision import is_fast_dtype
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.utils.seeding import as_rng
@@ -53,141 +48,6 @@ def _pair(value: Union[int, Tuple[int, int]]) -> Tuple[int, int]:
     return (int(value), int(value))
 
 
-def _im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, out_h*out_w).
-
-    Stride-trick reference implementation: the plan cache's gather produces
-    bit-identical columns (asserted by tests/test_conv_plans.py); this stays
-    as the plans-disabled fallback and the benchmark "before" baseline.
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (n, c, H', W', kh, kw) view over every kernel window, then keep one
-    # window per stride step; no data is copied until the final reshape.
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(n, c * kh * kw, out_h * out_w), (out_h, out_w)
-
-
-def _col2im(
-    cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_hw: Tuple[int, int],
-) -> np.ndarray:
-    """Fold columns back into an image, accumulating overlapping contributions.
-
-    Loop-based reference implementation (one strided add per kernel offset);
-    the plan cache's bincount scatter is the fast path and adds each pixel's
-    contributions in the same (i, j) order, so the two are bit-identical.
-    """
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h, out_w = out_hw
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph : ph + h, pw : pw + w]
-
-
-# ----------------------------------------------------------------------
-# Lowering helpers: plan-routed with stride-trick/loop fallbacks
-# ----------------------------------------------------------------------
-def _lower(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    groups: int = 1,
-) -> Tuple[np.ndarray, Tuple[int, int], Optional[ConvPlan]]:
-    """im2col via the cached plan (or the stride-trick path when disabled)."""
-    if plans_enabled():
-        plan = get_plan(x.shape, kernel, stride, padding, groups)
-        return plan.im2col(x), plan.out_hw, plan
-    cols, out_hw = _im2col(x, kernel, stride, padding)
-    return cols, out_hw, None
-
-
-def _fold(
-    grad_cols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out_hw: Tuple[int, int],
-    plan: Optional[ConvPlan],
-) -> np.ndarray:
-    """col2im via the plan's scatter-add (or the loop path when disabled)."""
-    if plan is not None:
-        return plan.col2im(grad_cols)
-    return _col2im(grad_cols, input_shape, kernel, stride, padding, out_hw)
-
-
-# ----------------------------------------------------------------------
-# Grouped contractions: plan-routed at float64, float32 matmul fast paths
-# ----------------------------------------------------------------------
-def _forward_contract(weight_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
-    """(g, o, k) x (n, g, k, l) -> (n, g, o, l) over legacy-layout columns."""
-    if is_fast_dtype(weight_grouped, cols_grouped):
-        return np.matmul(weight_grouped[None], cols_grouped)
-    return np.einsum("gok,ngkl->ngol", weight_grouped, cols_grouped, optimize=True)
-
-
-def _grad_weight_contract(
-    grad_grouped: np.ndarray,
-    cols_grouped: np.ndarray,
-    plan: Optional[ConvPlan] = None,
-) -> np.ndarray:
-    """(n, g, o, l) x (n, g, k, l) -> (g, o, k).
-
-    Columns a plan gathered go back through that plan's
-    :meth:`ConvPlan.grad_weight`, whatever their layout; the historical
-    expressions below serve the plans-disabled lowering.
-    """
-    if plan is not None:
-        return plan.grad_weight(grad_grouped, cols_grouped)
-    if is_fast_dtype(grad_grouped, cols_grouped):
-        return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-    return np.einsum("ngol,ngkl->gok", grad_grouped, cols_grouped, optimize=True)
-
-
-def _grad_cols_contract(
-    weight_grouped: np.ndarray,
-    grad_grouped: np.ndarray,
-    plan: Optional[ConvPlan] = None,
-) -> np.ndarray:
-    """(g, o, k) x (n, g, o, l) -> (n, g, k, l)."""
-    if weight_grouped.shape[1] == 1:
-        # Depthwise (one output channel per group): the o-contraction has a
-        # single term, so it is an outer product — one rounding per element,
-        # bit-identical however it is computed — and a broadcast multiply
-        # beats both einsum and batched matmul.  Safe at float64.
-        return np.swapaxes(weight_grouped, -1, -2)[None] * grad_grouped
-    if is_fast_dtype(weight_grouped, grad_grouped):
-        return np.matmul(np.swapaxes(weight_grouped, -1, -2)[None], grad_grouped)
-    if plan is not None:
-        return plan.grad_columns(weight_grouped, grad_grouped)
-    return np.einsum("gok,ngol->ngkl", weight_grouped, grad_grouped, optimize=True)
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -199,10 +59,7 @@ def conv2d(
     """Functional grouped 2-D convolution over NCHW input.
 
     ``weight`` has shape ``(out_channels, in_channels // groups, kh, kw)``
-    and may be any autograd tensor — in particular a runtime concatenation
-    of several layers' parameters, which is how the supernet's fused
-    mixed-operation path evaluates all candidates of one position in a
-    single batched contraction.  :class:`Conv2d` delegates here, so the
+    and may be any autograd tensor.  :class:`Conv2d` delegates here, so the
     module and functional forms share one float path.
     """
     x = as_tensor(x)
@@ -224,23 +81,16 @@ def conv2d(
     group_out = out_channels // groups
     weight_grouped = weight.data.reshape(groups, group_out, group_in * kh * kw)
 
-    spans = batch_spans(n, num_threads()) if n > 1 else [(0, n)]
-    if len(spans) > 1:
-        return _conv2d_threaded(
-            x, weight, bias, stride, padding, groups, kernel, weight_grouped, spans
-        )
-
     # One batched contraction over a groups axis replaces the per-group loop;
     # with groups == 1 this degenerates to the plain im2col matmul.
-    if plans_enabled() and not is_fast_dtype(weight_grouped, x.data):
-        plan = get_plan(x.shape, kernel, stride, padding, groups)
-        out_h, out_w = plan.out_hw
+    plan = get_plan(x.shape, kernel, stride, padding, groups)
+    out_h, out_w = plan.out_hw
+    if is_fast_dtype(weight_grouped, x.data):
+        cols_grouped = plan.im2col(x.data).reshape(n, groups, group_in * kh * kw, out_h * out_w)
+        out = np.matmul(weight_grouped[None], cols_grouped)
+    else:
         cols_grouped = plan.columns(x.data)
         out = plan.forward(cols_grouped, weight_grouped)
-    else:
-        cols, (out_h, out_w), plan = _lower(x.data, kernel, stride, padding, groups)
-        cols_grouped = cols.reshape(n, groups, group_in * kh * kw, out_h * out_w)
-        out = _forward_contract(weight_grouped, cols_grouped)
     out_data = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -252,10 +102,10 @@ def conv2d(
             bias._accumulate(grad.sum(axis=(0, 2)))
         grad_grouped = grad.reshape(n, groups, group_out, out_h * out_w)
         if weight.requires_grad:
-            grad_w = _grad_weight_contract(grad_grouped, cols_grouped, plan)
+            grad_w = plan.grad_weight(grad_grouped, cols_grouped)
             weight._accumulate(grad_w.reshape(weight.data.shape))
         if x.requires_grad:
-            if plan is not None and group_in == 1 and group_out == 1:
+            if group_in == 1 and group_out == 1:
                 # Depthwise: fold the outer-product column gradient without
                 # materialising it (bit-identical, see ConvPlan.col2im_outer).
                 x._accumulate(
@@ -265,107 +115,8 @@ def conv2d(
                     )
                 )
                 return
-            grad_cols = _grad_cols_contract(weight_grouped, grad_grouped, plan)
-            grad_cols_flat = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-            x._accumulate(
-                _fold(grad_cols_flat, (n, c, h, w), kernel, stride, padding, (out_h, out_w), plan)
-            )
-
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    return Tensor._make(out_data, parents, backward)
-
-
-def _conv2d_threaded(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    groups: int,
-    kernel: Tuple[int, int],
-    weight_grouped: np.ndarray,
-    spans: List[Tuple[int, int]],
-) -> Tensor:
-    """conv2d with the batch axis chunked over the shared thread pool.
-
-    Per-sample results (activations, input gradient) are bit-identical to
-    the serial path; the weight gradient sums per-chunk partials in
-    ascending chunk order, which is deterministic for a fixed
-    ``REPRO_NUM_THREADS`` but rounds differently from the serial single
-    contraction (see :mod:`repro.autograd.parallel`).
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_channels = weight.shape[0]
-    group_in = c // groups
-    group_out = out_channels // groups
-    pool = get_pool(len(spans))
-
-    def forward_chunk(span: Tuple[int, int]):
-        start, stop = span
-        cols, out_hw, plan = _lower(x.data[start:stop], kernel, stride, padding, groups)
-        cols_grouped = cols.reshape(
-            stop - start, groups, group_in * kh * kw, out_hw[0] * out_hw[1]
-        )
-        return _forward_contract(weight_grouped, cols_grouped), cols_grouped, plan, out_hw
-
-    chunk_results = list(pool.map(forward_chunk, spans))
-    out_h, out_w = chunk_results[0][3]
-    out_data = np.concatenate([chunk[0] for chunk in chunk_results], axis=0).reshape(
-        n, out_channels, out_h, out_w
-    )
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
-    compute_dtype = out_data.dtype
-
-    def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=compute_dtype).reshape(n, out_channels, out_h * out_w)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2)))
-        grad_grouped = grad.reshape(n, groups, group_out, out_h * out_w)
-        need_weight = weight.requires_grad
-        need_input = x.requires_grad
-        if not (need_weight or need_input):
-            return
-
-        def backward_chunk(index: int):
-            start, stop = spans[index]
-            _, cols_grouped, plan, _ = chunk_results[index]
-            chunk_grad = grad_grouped[start:stop]
-            grad_w = (
-                _grad_weight_contract(chunk_grad, cols_grouped, plan) if need_weight else None
-            )
-            grad_x = None
-            if need_input:
-                if plan is not None and c == groups and out_channels == groups:
-                    grad_x = plan.col2im_outer(
-                        weight_grouped.reshape(groups, kh * kw),
-                        chunk_grad.reshape(stop - start, groups, out_h * out_w),
-                    )
-                else:
-                    grad_cols = _grad_cols_contract(weight_grouped, chunk_grad)
-                    grad_cols_flat = grad_cols.reshape(
-                        stop - start, c * kh * kw, out_h * out_w
-                    )
-                    grad_x = _fold(
-                        grad_cols_flat,
-                        (stop - start, c, h, w),
-                        kernel,
-                        stride,
-                        padding,
-                        (out_h, out_w),
-                        plan,
-                    )
-            return grad_w, grad_x
-
-        pieces = list(pool.map(backward_chunk, range(len(spans))))
-        if need_weight:
-            grad_w_total = pieces[0][0]
-            for grad_w, _ in pieces[1:]:
-                grad_w_total = grad_w_total + grad_w
-            weight._accumulate(grad_w_total.reshape(weight.data.shape))
-        if need_input:
-            x._accumulate(np.concatenate([piece[1] for piece in pieces], axis=0))
+            grad_cols = plan.grad_columns(weight_grouped, grad_grouped)
+            x._accumulate(plan.col2im(grad_cols.reshape(n, c * kh * kw, out_h * out_w)))
 
     parents = (x, weight) + ((bias,) if bias is not None else ())
     return Tensor._make(out_data, parents, backward)
@@ -420,26 +171,6 @@ class Conv2d(Module):
         )
 
 
-def batchnorm_affine(
-    x: Tensor, mean: Tensor, var: Tensor, scale: Tensor, shift: Tensor, eps: float
-) -> Tensor:
-    """The batch-norm normalisation expression, shared by every BN path.
-
-    :class:`BatchNorm2d` and the supernet's fused mixed-op batch norm both
-    call this, so the two float paths cannot drift apart.
-    """
-    normalised = (x - mean) / (var + eps) ** 0.5
-    return normalised * scale + shift
-
-
-def batch_moments(x: Tensor, axes: Tuple[int, ...]) -> Tuple[Tensor, Tensor]:
-    """Per-channel batch mean and (biased) variance over ``axes``."""
-    mean = x.mean(axis=axes, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    return mean, var
-
-
 def batchnorm_train_fused(
     x: Tensor,
     scale: Tensor,
@@ -449,8 +180,8 @@ def batchnorm_train_fused(
 ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
     """Training-mode batch norm as one fused autograd node (float32 fast path).
 
-    The graph path (``batch_moments`` + ``batchnorm_affine``) builds ~10
-    intermediate nodes whose backward re-materialises the centred input
+    The graph path (the float64 expressions of ``BatchNorm1d``/``BatchNorm2d``)
+    builds ~10 intermediate nodes whose backward re-materialises the centred input
     several times.  This node computes the standard closed-form batch-norm
     backward instead::
 
@@ -505,7 +236,7 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features))
         self._eval_stats_cache: Optional[Tuple[Tensor, Tensor]] = None
 
-    def update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
+    def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         """Momentum-blend one batch's statistics into the running buffers."""
         self._buffers["running_mean"][...] = (
             (1 - self.momentum) * self._buffers["running_mean"] + self.momentum * batch_mean
@@ -518,7 +249,7 @@ class BatchNorm2d(Module):
         """Cached ``(1, C, 1, 1)`` views of the running statistics.
 
         The cached tensors *view* the registered buffers, so in-place updates
-        (``update_running``, ``load_state_dict``) are reflected without any
+        (``_update_running``, ``load_state_dict``) are reflected without any
         invalidation; the cache only rebuilds if a buffer array is replaced
         wholesale (``register_buffer``) or the precision policy changed the
         view into a copy.
@@ -549,13 +280,16 @@ class BatchNorm2d(Module):
                 out, batch_mean, batch_var = batchnorm_train_fused(
                     x, scale, shift, (0, 2, 3), self.eps
                 )
-                self.update_running(batch_mean.reshape(-1), batch_var.reshape(-1))
+                self._update_running(batch_mean.reshape(-1), batch_var.reshape(-1))
                 return out
-            mean, var = batch_moments(x, (0, 2, 3))
-            self.update_running(mean.data.reshape(-1), var.data.reshape(-1))
+            mean = x.mean(axis=(0, 2, 3), keepdims=True)
+            centered = x - mean
+            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+            self._update_running(mean.data.reshape(-1), var.data.reshape(-1))
         else:
             mean, var = self._eval_stats()
-        return batchnorm_affine(x, mean, var, scale, shift, self.eps)
+        normalised = (x - mean) / (var + self.eps) ** 0.5
+        return normalised * scale + shift
 
 
 class AvgPool2d(Module):
@@ -570,10 +304,9 @@ class AvgPool2d(Module):
         x = as_tensor(x)
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
-        cols, _, plan = _lower(x.data, (k, k), (s, s), (0, 0))
-        cols = cols.reshape(n, c, k * k, out_h * out_w)
+        plan = get_plan(x.shape, (k, k), (s, s), (0, 0))
+        out_h, out_w = plan.out_hw
+        cols = plan.im2col(x.data).reshape(n, c, k * k, out_h * out_w)
         out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
         compute_dtype = out_data.dtype
 
@@ -583,9 +316,7 @@ class AvgPool2d(Module):
             grad = np.asarray(grad, dtype=compute_dtype).reshape(n, c, 1, out_h * out_w)
             grad_cols = np.broadcast_to(grad / (k * k), (n, c, k * k, out_h * out_w))
             grad_cols = grad_cols.reshape(n, c * k * k, out_h * out_w)
-            x._accumulate(
-                _fold(grad_cols, (n, c, h, w), (k, k), (s, s), (0, 0), (out_h, out_w), plan)
-            )
+            x._accumulate(plan.col2im(grad_cols))
 
         return Tensor._make(out_data, (x,), backward)
 

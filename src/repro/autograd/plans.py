@@ -43,12 +43,13 @@ Three more pieces complete the tier:
 Bit-identity: im2col is a pure reordering (no arithmetic), and both folds add
 each pixel's contributions in exactly the (i, j) ascending order of the
 historical loop, so the plan tier is bit-for-bit identical to the
-stride-trick/loop/einsum reference at float64 — asserted by
-``tests/test_conv_plans.py`` and fenced by the golden-run suites.
+stride-trick/loop/einsum lowering it replaced at float64 — asserted by
+``tests/test_conv_plans.py`` against that lowering, kept as the test oracle
+``tests/conv_reference.py``, and fenced by the golden-run suites.
 
-Plans are kept in a bounded LRU keyed on the shape tuple;
-:func:`set_plans_enabled` switches the whole tier off (the legacy lowering is
-the parity oracle of the tests and the benchmark "before").
+This is the only convolution lowering: :mod:`repro.autograd.conv` routes
+every ``conv2d`` and ``AvgPool2d`` through it.  Plans are kept in a bounded
+LRU keyed on the shape tuple.
 """
 
 from __future__ import annotations
@@ -68,23 +69,9 @@ from repro.autograd.precision import is_fast_dtype
 #: resolutions in one process) where old plans are evicted LRU-first.
 MAX_PLANS = 128
 
-_plans_enabled = True
 _lock = threading.Lock()
 _cache: "OrderedDict[Tuple, ConvPlan]" = OrderedDict()
 _stats = {"hits": 0, "misses": 0}
-
-
-def plans_enabled() -> bool:
-    """Whether convolution lowering routes through cached plans."""
-    return _plans_enabled
-
-
-def set_plans_enabled(enabled: bool) -> bool:
-    """Toggle the plan tier globally; returns the previous setting."""
-    global _plans_enabled
-    previous = _plans_enabled
-    _plans_enabled = bool(enabled)
-    return previous
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +386,19 @@ class ConvPlan:
         return _bmm("ngkl,ngol->gok", cols_grouped, grad_grouped, columns=True)
 
     def grad_columns(self, weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
-        """Column gradient ``(g, o, k) x (n, g, o, l) -> (n, g, k, l)``, float64."""
+        """Column gradient ``(g, o, k) x (n, g, o, l) -> (n, g, k, l)``.
+
+        * **one output channel per group** — the o-contraction has a single
+          term, so it is an outer product: one rounding per element,
+          bit-identical however it is computed, and a broadcast multiply
+          beats both einsum and batched matmul.  Safe at float64.
+        * **float32** — batched ``matmul`` (tolerance-equal).
+        * **float64** — einsum's own matmul (:func:`_bmm`).
+        """
+        if weight_grouped.shape[1] == 1:
+            return np.swapaxes(weight_grouped, -1, -2)[None] * grad_grouped
+        if is_fast_dtype(weight_grouped, grad_grouped):
+            return np.matmul(np.swapaxes(weight_grouped, -1, -2)[None], grad_grouped)
         return _bmm("ngol,gok->ngkl", grad_grouped, weight_grouped)
 
     def col2im(self, cols: np.ndarray) -> np.ndarray:
@@ -409,8 +408,8 @@ class ConvPlan:
         ``kh x kw`` Python loop; the result is bit-identical (see module
         docstring) and the output keeps the columns' dtype.
         """
-        n, c, h, w = self.input_shape
-        n = cols.shape[0]  # threaded batch chunks fold fewer samples
+        _, c, h, w = self.input_shape
+        n = cols.shape[0]  # plans are shared across batch sizes
         if self.trivial:
             # Each pixel receives exactly one contribution; the float64
             # bincount round-trip of a single value is exact at any dtype,
@@ -444,7 +443,7 @@ class ConvPlan:
         to the output positions that land inside the image; taps that land
         only in the padding are skipped.
 
-        Bit-identity with the legacy ``einsum + _col2im`` pair: each product
+        Bit-identity with the legacy outer product + loop fold: each product
         is a single rounding, and each image pixel accumulates its taps in
         the same ascending ``(i, j)`` order as the historical loop — only
         padding cells, which the legacy fold discards, are left out.
@@ -488,8 +487,7 @@ def get_plan(
 
     The batch size is excluded from the cache key — plans are shared by all
     batch sizes of one (channels, spatial, kernel, groups) geometry, so a
-    final odd-sized batch or a threaded batch chunk reuses its full-batch
-    plan.
+    final odd-sized batch reuses its full-batch plan.
     """
     key = (tuple(input_shape[1:]), tuple(kernel), tuple(stride), tuple(padding), int(groups))
     with _lock:

@@ -502,33 +502,6 @@ def as_tensor(value: ArrayLike) -> Tensor:
     return Tensor(value)
 
 
-def narrow(tensor: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice ``tensor[..., start:start+length, ...]`` along ``axis``.
-
-    Equivalent to basic ``__getitem__`` slicing, but the backward writes the
-    gradient with one sliced *assignment* instead of the generic
-    ``np.add.at`` scatter (a basic slice selects each element at most once,
-    so assignment and scatter-add into zeros are the same values — and
-    identical bits).  This is the fused MixedOp's per-candidate channel
-    split, where the generic scatter was ~10x the cost of the copy.
-    """
-    tensor = as_tensor(tensor)
-    axis = int(axis)
-    start, length = int(start), int(length)
-    slicer = [slice(None)] * tensor.data.ndim
-    slicer[axis] = slice(start, start + length)
-    key = tuple(slicer)
-    out_data = tensor.data[key]
-
-    def backward(grad: np.ndarray) -> None:
-        if tensor.requires_grad:
-            full = np.zeros_like(tensor.data)
-            full[key] = np.asarray(grad, dtype=tensor.data.dtype)
-            tensor._accumulate(full)
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]

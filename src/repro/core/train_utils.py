@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.autograd.functional import check_finite_loss
 from repro.autograd.module import Module
 from repro.autograd.optim import SGD
 from repro.autograd.scheduler import CosineAnnealingLR
@@ -86,6 +87,10 @@ def train_classifier(
     Follows the paper's final-training recipe shape: SGD with Nesterov
     momentum, cosine learning-rate schedule, weight decay and label
     smoothing — at reduced epoch counts.
+
+    Raises :class:`~repro.autograd.functional.NonFiniteLossError`, naming the
+    network class, epoch and batch, on a NaN/inf loss — before the optimiser
+    step, so the parameters are left as they were.
     """
     config = config or ClassifierTrainingConfig()
     head = network_head(network)
@@ -102,9 +107,10 @@ def train_classifier(
     network.train()
     for epoch in range(config.epochs):
         scheduler.step(epoch)
-        for images, targets in loader:
+        for batch, (images, targets) in enumerate(loader):
             outputs = network(Tensor(images))
             loss = head.loss(outputs, targets, label_smoothing=config.label_smoothing)
+            check_finite_loss(loss, type(network).__name__, "training", epoch, batch)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -12,38 +12,19 @@ Every candidate has two faces:
 * a *workload description* (built at the nominal full-size dimensions) used
   by the hardware cost model — hardware cost must reflect the real network,
   not the scaled-down trainable proxy.
-
-This module also owns the *fused group lowering* used by the supernet's
-soft-gate :class:`~repro.nas.supernet.MixedOp` path
-(:func:`fused_mbconv_group` / :func:`fused_batchnorm`): candidates sharing
-an expansion ratio run their pointwise expand/project convolutions once over
-concatenated channels, and every ``conv2d`` involved lowers through the
-cached :mod:`repro.autograd.plans` tier — the concatenated-channel 1x1
-geometries hit zero-copy trivial plans, the per-candidate depthwise stages
-hit their cached gather/fold plans, and the per-candidate channel split is
-the sliced-assignment :func:`~repro.autograd.tensor.narrow` op instead of a
-generic scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.conv import (
-    BatchNorm2d,
-    Conv2d,
-    batch_moments,
-    batchnorm_affine,
-    batchnorm_train_fused,
-    conv2d,
-)
+from repro.autograd.conv import BatchNorm2d, Conv2d
 from repro.autograd.layers import Identity, ReLU, Sequential
 from repro.autograd.module import Module
-from repro.autograd.precision import is_fast_dtype
-from repro.autograd.tensor import Tensor, as_tensor, concatenate, narrow
+from repro.autograd.tensor import Tensor, as_tensor
 from repro.hwmodel.workload import ConvLayerShape, mbconv1d_layers, mbconv_layers
 from repro.utils.seeding import as_rng
 
@@ -180,115 +161,6 @@ class MBConvOp(Module):
         if self.use_residual:
             out = out + x
         return out
-
-
-def fused_batchnorm(x: Tensor, norms: Sequence[BatchNorm2d]) -> Tensor:
-    """Apply several BatchNorm2d layers to their concatenated channel slices.
-
-    Batch statistics are per channel, so normalising the concatenation with
-    concatenated affine parameters matches applying each norm to its own
-    slice; in training mode every layer's running buffers are updated with
-    its slice of the batch statistics, exactly as the unfused path would.
-    The statistics and normalisation math are the shared
-    :func:`~repro.autograd.conv.batch_moments` /
-    :func:`~repro.autograd.conv.batchnorm_affine` helpers that
-    ``BatchNorm2d.forward`` itself uses, so the two paths cannot drift — and
-    under the float32 policy both take the same fused
-    :func:`~repro.autograd.conv.batchnorm_train_fused` node.
-    """
-    first = norms[0]
-    if any(norm.eps != first.eps or norm.training != first.training for norm in norms[1:]):
-        raise ValueError("fused batch norms must share eps and training mode")
-    channels = x.shape[1]
-    scale = concatenate([norm.weight for norm in norms], axis=0).reshape(1, channels, 1, 1)
-    shift = concatenate([norm.bias for norm in norms], axis=0).reshape(1, channels, 1, 1)
-    if first.training:
-        if is_fast_dtype(x.data):
-            out, batch_mean, batch_var = batchnorm_train_fused(
-                x, scale, shift, (0, 2, 3), first.eps
-            )
-            _update_sliced_running(norms, batch_mean.reshape(-1), batch_var.reshape(-1))
-            return out
-        mean, var = batch_moments(x, (0, 2, 3))
-        _update_sliced_running(norms, mean.data.reshape(-1), var.data.reshape(-1))
-    else:
-        mean = Tensor(
-            np.concatenate([norm._buffers["running_mean"] for norm in norms]).reshape(1, -1, 1, 1)
-        )
-        var = Tensor(
-            np.concatenate([norm._buffers["running_var"] for norm in norms]).reshape(1, -1, 1, 1)
-        )
-    return batchnorm_affine(x, mean, var, scale, shift, first.eps)
-
-
-def _update_sliced_running(
-    norms: Sequence[BatchNorm2d], flat_mean: np.ndarray, flat_var: np.ndarray
-) -> None:
-    """Blend each norm's slice of the fused batch statistics into its buffers."""
-    offset = 0
-    for norm in norms:
-        count = norm.num_features
-        norm.update_running(
-            flat_mean[offset : offset + count], flat_var[offset : offset + count]
-        )
-        offset += count
-
-
-def fused_mbconv_group(x: Tensor, modules: Sequence[MBConvOp]) -> Tensor:
-    """Evaluate several same-expansion MBConv candidates as fused batched convs.
-
-    The expand and project convolutions of the ``modules`` have identical
-    shapes, so they (and every batch norm) run once over concatenated
-    channels; only the depthwise convolutions, whose kernel footprints
-    differ, run per candidate on their :func:`~repro.autograd.tensor.narrow`
-    channel slice of the fused hidden activation.  Every ``conv2d`` lowers
-    through the cached plan tier: the concatenated 1x1 expand/project
-    geometries are zero-copy trivial plans, and the depthwise stages reuse
-    their cached gather/fold plans (plan keys exclude the batch axis, so the
-    multi-candidate shapes are cache-stable across steps).
-
-    Returns the stacked group result of shape ``(N, G, C_out, H', W')``,
-    residual included; the caller applies the gate reduction.
-    """
-    n, c, h, w = x.shape
-    group_size = len(modules)
-    first = modules[0]
-    hidden = first.expand[0].out_channels
-
-    # Pointwise expansion: in -> G * hidden in one conv.
-    expand_weight = concatenate([m.expand[0].weight for m in modules], axis=0)
-    out = conv2d(x, expand_weight)
-    out = fused_batchnorm(out, [m.expand[1] for m in modules]).relu()
-
-    # Depthwise: kernel footprints differ per candidate, so each runs
-    # natively on its channel slice of the fused hidden activation.
-    depthwise_outs = []
-    for position, module in enumerate(modules):
-        conv = module.depthwise[0]
-        piece = narrow(out, 1, position * hidden, hidden)
-        depthwise_outs.append(
-            conv2d(
-                piece,
-                conv.weight,
-                stride=conv.stride,
-                padding=conv.padding,
-                groups=hidden,
-            )
-        )
-    out = concatenate(depthwise_outs, axis=1)
-    out = fused_batchnorm(out, [m.depthwise[1] for m in modules]).relu()
-
-    # Pointwise projection: each candidate's slice maps hidden -> out.
-    project_weight = concatenate([m.project[0].weight for m in modules], axis=0)
-    out = conv2d(out, project_weight, groups=group_size)
-    out = fused_batchnorm(out, [m.project[1] for m in modules])
-
-    out_channels = first.out_channels
-    _, _, out_h, out_w = out.shape
-    out = out.reshape(n, group_size, out_channels, out_h, out_w)
-    if first.use_residual:
-        out = out + x.reshape(n, 1, c, h, w)
-    return out
 
 
 class SkipConnection(Module):

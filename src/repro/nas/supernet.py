@@ -11,17 +11,11 @@ The supernet is built at the search space's *trainable* dimensions (reduced
 width and resolution) so CPU training is feasible; the hardware cost is
 always computed at the nominal dimensions elsewhere.
 
-Two execution paths serve :meth:`MixedOp.forward`:
-
-* **hard gates** (one non-zero entry, the searchers' Gumbel ``hard=True``
-  sampling) run exactly one candidate — byte-for-byte the historical loop;
-* **soft gates** (several non-zero entries) collapse the per-candidate loop
-  into fused batched einsums: candidates sharing an expansion ratio run
-  their pointwise expand/project convolutions and batch norms once over
-  concatenated channels (only the depthwise stage, whose kernel sizes
-  differ, runs per candidate on its channel slice), and the gate weighting
-  becomes a single broadcasted multiply + sum over the candidate axis.
-  Benchmarked as ``supernet_step`` in ``benchmarks/run_bench.py``.
+:meth:`MixedOp.forward` runs one candidate per non-zero gate, in candidate
+order, and sums the gated outputs with the skip path.  The searchers sample
+hard (one-hot) Gumbel gates, so a search step runs exactly one candidate per
+position; soft gates (several non-zero entries) run every active candidate
+through the same loop.
 
 The network's output end is owned by the search space's
 :class:`~repro.tasks.heads.TaskHead` (classification by default, multi-branch
@@ -31,7 +25,7 @@ detection, ...), and the stem/head convolutions follow the space's geometry
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +33,7 @@ from repro.autograd.conv import BatchNorm2d, Conv2d
 from repro.autograd.layers import ReLU, Sequential
 from repro.autograd.module import Module
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.nas.operations import MBConvOp, SkipConnection, build_op_module, fused_mbconv_group
+from repro.nas.operations import SkipConnection, build_op_module
 from repro.nas.search_space import FixedLayerConfig, NASSearchSpace, SearchableLayerConfig
 from repro.utils.seeding import as_rng
 
@@ -69,11 +63,6 @@ def _fixed_conv(cfg: FixedLayerConfig, geometry: str, rng) -> Sequential:
 class MixedOp(Module):
     """All candidate operations of one searchable position, gated by weights."""
 
-    #: Collapse multi-candidate (soft-gate) forwards into fused einsums.
-    #: Hard one-hot gates never take the fused path, so searcher
-    #: trajectories are unaffected by this switch.
-    fuse_soft_gates: bool = True
-
     def __init__(
         self,
         layer_cfg: SearchableLayerConfig,
@@ -84,7 +73,6 @@ class MixedOp(Module):
         generator = as_rng(rng)
         self.layer_cfg = layer_cfg
         self.num_ops = search_space.num_ops
-        self.op_specs = tuple(search_space.candidate_ops)
         self.candidates = Sequential(
             *[
                 build_op_module(
@@ -118,63 +106,25 @@ class MixedOp(Module):
             save compute.  In the searchers' architecture steps the gate
             multiplication keeps the architecture logits on the gradient
             path; their weight steps pass detached gates, so the product is
-            the same but no logit gradient is built.  When several gates are
-            active (soft relaxations) the candidates run through the fused
-            batched-einsum path instead of a per-candidate Python loop.
+            the same but no logit gradient is built.  Soft gates (several
+            non-zero entries) run every active candidate.
         """
         x = as_tensor(x)
         gate_values = gates.data.reshape(-1)
-        active = [index for index in range(self.num_ops) if gate_values[index] != 0.0]
-        fusable = [
-            index
-            for index in active
-            if not self.op_specs[index].is_zero
-            and isinstance(self.candidates[index], MBConvOp)
-        ]
-        if self.fuse_soft_gates and len(fusable) > 1:
-            output: Optional[Tensor] = self._forward_fused(x, gates, fusable)
-        else:
-            output = None
-            for op_index in active:
+        output: Optional[Tensor] = None
+        for op_index in range(self.num_ops):
+            if gate_values[op_index] == 0.0:
                 # Hard one-hot sample: unused candidates are skipped (their
                 # gradient contribution is zero anyway because the gate
                 # multiplies the output).
-                candidate_out = self.candidates[op_index](x)
-                gated = candidate_out * gates[op_index]
-                output = gated if output is None else output + gated
+                continue
+            candidate_out = self.candidates[op_index](x)
+            gated = candidate_out * gates[op_index]
+            output = gated if output is None else output + gated
         skip_out = self.skip(x)
         if output is None:
             return skip_out
         return output + skip_out
-
-    # ------------------------------------------------------------------
-    # Fused multi-candidate path (soft gates)
-    # ------------------------------------------------------------------
-    def _forward_fused(self, x: Tensor, gates: Tensor, indices: List[int]) -> Tensor:
-        """Evaluate several MBConv candidates as fused gated batched einsums.
-
-        Candidates are grouped by ``(kind, expansion)`` and each group runs
-        through :func:`~repro.nas.operations.fused_mbconv_group` — expand and
-        project convolutions (and every batch norm) once over concatenated
-        channels, only the depthwise stage per candidate, all lowered through
-        the cached conv-plan tier.  The group result of shape
-        ``(N, G, C_out, H', W')`` is reduced with the gate vector in a single
-        broadcasted multiply + sum, keeping the architecture logits on the
-        gradient path.
-        """
-        groups: Dict[Tuple[str, int], List[int]] = {}
-        for index in indices:
-            op = self.op_specs[index]
-            groups.setdefault((op.kind, op.expansion), []).append(index)
-
-        output: Optional[Tensor] = None
-        for group_indices in groups.values():
-            modules: List[MBConvOp] = [self.candidates[i] for i in group_indices]
-            out = fused_mbconv_group(x, modules)
-            gate_vector = gates[np.asarray(group_indices, dtype=np.int64)]
-            gated = (out * gate_vector.reshape(1, len(modules), 1, 1, 1)).sum(axis=1)
-            output = gated if output is None else output + gated
-        return output
 
 
 class SuperNet(Module):

@@ -9,8 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.data import make_cifar_like, train_val_split
-from repro.evaluator import LayerCostTable, generate_evaluator_dataset
-from repro.hwmodel import AcceleratorCostModel, HardwareSearchSpace, tiny_search_space
+from repro.evaluator import generate_evaluator_dataset
+from repro.hwmodel import AcceleratorCostModel, CostTable, HardwareSearchSpace, tiny_search_space
 from repro.nas import build_cifar_search_space
 from repro.utils.seeding import seed_everything
 
@@ -54,7 +54,7 @@ def cost_model():
 @pytest.fixture(scope="session")
 def cost_table(nas_space, hw_space):
     """Precomputed per-candidate cost table over the tiny hardware space."""
-    return LayerCostTable(nas_space, hw_space)
+    return CostTable(nas_space, hw_space)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.autograd import Tensor, concatenate, narrow, no_grad, stack, where
+from repro.autograd import Tensor, concatenate, no_grad, stack, where
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -169,40 +169,6 @@ class TestShapeOps:
         (out * 2.0).sum().backward()
         assert np.allclose(a.grad, np.full((2, 3), 2.0))
         assert np.allclose(b.grad, np.full((2, 2), 2.0))
-
-    def test_narrow_matches_basic_slice(self):
-        data = np.random.default_rng(3).normal(size=(2, 6, 4))
-        x = Tensor(data, requires_grad=True)
-        out = narrow(x, 1, 2, 3)
-        assert out.shape == (2, 3, 4)
-        assert np.array_equal(out.data, data[:, 2:5, :])
-
-    def test_narrow_backward_bit_identical_to_getitem(self):
-        data = np.random.default_rng(4).normal(size=(3, 8, 2))
-        upstream = np.random.default_rng(5).normal(size=(3, 4, 2))
-
-        x = Tensor(data, requires_grad=True)
-        (narrow(x, 1, 3, 4) * Tensor(upstream)).sum().backward()
-        via_narrow = x.grad
-
-        x = Tensor(data, requires_grad=True)
-        (x[:, 3:7, :] * Tensor(upstream)).sum().backward()
-        assert np.array_equal(via_narrow, x.grad)
-
-    def test_narrow_preserves_dtype(self):
-        from repro.autograd import use_dtype
-
-        with use_dtype("float32"):
-            x = Tensor(np.ones((2, 4)), requires_grad=True)
-            out = narrow(x, 1, 1, 2)
-            assert out.data.dtype == np.float32
-            out.sum().backward()
-            assert x.grad.dtype == np.float32
-
-    def test_narrow_negative_axis(self):
-        data = np.arange(12, dtype=float).reshape(3, 4)
-        out = narrow(Tensor(data), -1, 1, 2)
-        assert np.array_equal(out.data, data[:, 1:3])
 
     def test_stack_gradient(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

@@ -10,7 +10,6 @@ from repro.evaluator import (
     Evaluator,
     EvaluatorEncoding,
     HW_FIELD_ORDER,
-    LayerCostTable,
     METRIC_ORDER,
     generate_evaluator_dataset,
     train_cost_estimation_network,
@@ -18,7 +17,7 @@ from repro.evaluator import (
 )
 from repro.evaluator.cost_estimation_net import CostEstimationNetwork
 from repro.evaluator.hw_generation_net import HardwareGenerationNetwork
-from repro.hwmodel import AcceleratorConfig, HardwareMetrics, edap_cost
+from repro.hwmodel import AcceleratorConfig, CostTable, HardwareMetrics, edap_cost
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +42,7 @@ def hw_space():
 
 @pytest.fixture(scope="module")
 def cost_table(nas_space, hw_space):
-    return LayerCostTable(nas_space, hw_space)
+    return CostTable(nas_space, hw_space)
 
 
 @pytest.fixture(scope="module")

@@ -25,8 +25,8 @@ from repro.core import (
 )
 from repro.autograd import NonFiniteLossError
 from repro.data import make_cifar_like, train_val_split
-from repro.evaluator import Evaluator, LayerCostTable, generate_evaluator_dataset, train_evaluator
-from repro.hwmodel import tiny_search_space
+from repro.evaluator import Evaluator, generate_evaluator_dataset, train_evaluator
+from repro.hwmodel import CostTable, tiny_search_space
 from repro.nas import ArchitectureParameters, build_cifar_search_space
 
 
@@ -42,7 +42,7 @@ def small_hw_space():
 
 @pytest.fixture(scope="module")
 def small_cost_table(small_space, small_hw_space):
-    return LayerCostTable(small_space, small_hw_space)
+    return CostTable(small_space, small_hw_space)
 
 
 @pytest.fixture(scope="module")

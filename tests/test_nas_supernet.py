@@ -113,6 +113,28 @@ class TestDerivedNetwork:
         )
         assert final >= initial
 
+    def test_non_finite_training_loss_raises_before_any_step(self, tiny_space):
+        from repro.autograd import NonFiniteLossError
+        from repro.core import ClassifierTrainingConfig, train_classifier
+        from repro.data import make_cifar_like, train_val_split
+
+        dataset = make_cifar_like(num_samples=40, resolution=8, rng=0)
+        train_set, val_set = train_val_split(dataset, val_fraction=0.25, rng=1)
+        train_set.images[...] = np.nan
+        network = DerivedNetwork(tiny_space, [1, 1, 1], rng=2)
+        before = [param.data.copy() for param in network.parameters()]
+        with pytest.raises(NonFiniteLossError) as caught:
+            train_classifier(
+                network, train_set, val_set, ClassifierTrainingConfig(epochs=2, batch_size=16), rng=3
+            )
+        error = caught.value
+        assert (error.method, error.stage, error.epoch, error.batch) == (
+            "DerivedNetwork", "training", 0, 0
+        )
+        assert np.isnan(error.value)
+        after = [param.data for param in network.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
 
 def _arch_backward(space, frozen, detach_gates=False):
     """One train-mode backward of a fixed batch through a fresh supernet."""

@@ -4,7 +4,7 @@ Covers the task registry (lookup, hints, third-party registration), the
 bit-identity of the classification tasks against golden pre-refactor results
 (RNG streams, searcher trajectories and final metrics), end-to-end smoke
 runs of the detection and seq1d workloads, cross-task resume bit-identity,
-the fused mixed-op forward parity, and the task-crossing sweep / Pareto
+the soft-gate mixed-op forward, and the task-crossing sweep / Pareto
 reporting CLI.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import softmax
 from repro.data import DataLoader, make_detection_dataset, make_sequence_dataset
 from repro.data.detection import DetectionTargets
@@ -300,11 +300,14 @@ class TestNewTaskRuns:
 
 
 # ----------------------------------------------------------------------
-# Fused mixed-op forward (soft gates)
+# Soft-gate mixed-op forward
 # ----------------------------------------------------------------------
-class TestFusedMixedOp:
+class TestSoftGates:
     @pytest.mark.parametrize("flavour", ["cifar", "seq1d"])
-    def test_fused_path_matches_loop(self, flavour):
+    def test_soft_gates_mix_every_candidate(self, flavour):
+        """With ``softmax(alpha)`` gates every position outputs the gated sum
+        of all its candidates plus the skip path, and the logits get a
+        finite, non-zero gradient through every position."""
         if flavour == "cifar":
             space = build_cifar_search_space(num_searchable=3, trainable_base_channels=4)
             shape = (4, 3, 8, 8)
@@ -313,76 +316,23 @@ class TestFusedMixedOp:
             shape = (4, SEQ1D_CHANNELS, 1, 8)
         net = SuperNet(space, rng=0)
         params = ArchitectureParameters(space, rng=1)
-        x = np.random.default_rng(2).normal(size=shape)
-
-        def run(fused: bool):
-            for mixed in net.mixed_ops:
-                mixed.fuse_soft_gates = fused
-            net.zero_grad()
-            params.zero_grad()
-            out = net(Tensor(x), softmax(params.alpha, axis=-1))
-            (out * out).mean().backward()
-            grads = {
-                name: None if p.grad is None else p.grad.copy()
-                for name, p in net.named_parameters()
-            }
-            return out.data.copy(), params.alpha.grad.copy(), grads
-
-        loop_out, loop_alpha, loop_grads = run(False)
-        fused_out, fused_alpha, fused_grads = run(True)
-        assert np.allclose(loop_out, fused_out, atol=1e-10)
-        assert np.allclose(loop_alpha, fused_alpha, atol=1e-10)
-        for name, grad in loop_grads.items():
-            if grad is None:
-                assert fused_grads[name] is None
-            else:
-                assert np.allclose(grad, fused_grads[name], atol=1e-8), name
-
-    def test_soft_gates_take_fused_path_by_default(self):
-        # Guards the default wiring: losing `fuse_soft_gates = True` would be
-        # invisible to the parity tests (which set the flag explicitly) and
-        # to the perf gate (the fused win is BLAS-parallelism-bound).
-        space = build_cifar_search_space(num_searchable=3, trainable_base_channels=4)
-        net = SuperNet(space, rng=0)
-        params = ArchitectureParameters(space, rng=1)
-        calls = []
-        for mixed in net.mixed_ops:
-            assert mixed.fuse_soft_gates
-            original = mixed._forward_fused
-            mixed._forward_fused = (
-                lambda *args, _original=original, **kwargs: calls.append(1)
-                or _original(*args, **kwargs)
-            )
-        net(Tensor(np.zeros((1, 3, 8, 8))), softmax(params.alpha, axis=-1))
-        assert len(calls) == len(net.mixed_ops)
-
-    def test_hard_gates_never_take_fused_path(self):
-        space = build_cifar_search_space(num_searchable=3, trainable_base_channels=4)
-        net = SuperNet(space, rng=0)
-        mixed = net.mixed_ops[0]
-        calls = []
-        original = mixed._forward_fused
-        mixed._forward_fused = lambda *args, **kwargs: calls.append(1) or original(
-            *args, **kwargs
-        )
-        gates = np.zeros((3, space.num_ops))
-        gates[np.arange(3), [0, 1, 2]] = 1.0
-        net(Tensor(np.zeros((1, 3, 8, 8))), Tensor(gates))
-        assert calls == []
-
-    def test_batchnorm_running_stats_match(self):
-        space = build_cifar_search_space(num_searchable=3, trainable_base_channels=4)
-        x = np.random.default_rng(3).normal(size=(4, 3, 8, 8))
-        stats = {}
-        for fused in (False, True):
-            net = SuperNet(space, rng=0)
-            params = ArchitectureParameters(space, rng=1)
-            for mixed in net.mixed_ops:
-                mixed.fuse_soft_gates = fused
-            net(Tensor(x), softmax(params.alpha, axis=-1))
-            stats[fused] = {name: buf.copy() for name, buf in net.named_buffers()}
-        for name, buffer in stats[False].items():
-            assert np.allclose(buffer, stats[True][name], atol=1e-10), name
+        gates = softmax(params.alpha, axis=-1)
+        out = net.stem(Tensor(np.random.default_rng(2).normal(size=shape)))
+        for position, mixed in enumerate(net.mixed_ops):
+            position_gates = gates[position]
+            with no_grad():
+                expected = None
+                for index, candidate in enumerate(mixed.candidates):
+                    term = candidate(out).data * position_gates.data[index]
+                    expected = term if expected is None else expected + term
+                expected = expected + mixed.skip(out).data
+            out = mixed(out, position_gates)
+            assert np.array_equal(out.data, expected), position
+        logits = net.output_module(net.head(out))
+        (logits * logits).mean().backward()
+        grad = params.alpha.grad
+        assert np.all(np.isfinite(grad))
+        assert np.all(np.abs(grad).sum(axis=1) > 0)
 
 
 class TestFlopsModelGeneric:

@@ -13,10 +13,10 @@ both files::
 ``min_ratio`` absorbs runner noise (the vectorised "after" timings are tens
 of milliseconds); ``min_speedup`` is the hard floor that catches the real
 failure mode — losing the vectorised path entirely, which collapses the
-speedup to ~1.  Benchmarks named in :data:`TRACKED_KEYS` (``supernet_step``,
-a modest fused-vs-loop win that is BLAS-parallelism-bound rather than a
-vectorised-vs-scalar chasm) are *tracked*: they are compared and printed,
-but gated only on ``max(KEY_FLOORS, min_ratio * baseline)`` — a hard 2x
+speedup to ~1.  Benchmarks named in :data:`TRACKED_KEYS` (e.g.
+``supernet_step_float32``, a modest float32-vs-float64 win that is BLAS-bound
+rather than a vectorised-vs-scalar chasm) are *tracked*: they are compared
+and printed, but gated only on ``max(KEY_FLOORS, min_ratio * baseline)`` — a hard 2x
 floor on a ~1x optimisation would turn runner noise into CI flakes, so a
 tracked key has an absolute floor only if :data:`KEY_FLOORS` names one.
 Every other key keeps the hard floor, whatever its committed baseline says,
@@ -39,11 +39,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Benchmarks exempt from the absolute ``min_speedup`` floor (see module
 #: docstring); everything else is gated at ``max(floor, ratio * baseline)``.
-#: ``supernet_step`` (fused vs loop) and ``supernet_step_float32`` (float32
-#: vs float64 step) are modest BLAS-bound wins; ``conv_fwd`` measures the
-#: gather-vs-stride-trick im2col, a reordering with no arithmetic to
-#: vectorise away.  ``col2im`` and ``conv_bwd`` keep the hard 2x floor —
-#: losing the scatter-add fold is the regression they exist to catch.
+#: ``supernet_step_float32`` (float32 vs float64 soft-gate step) is a modest
+#: BLAS-bound win; ``conv_fwd`` measures the gather-vs-stride-trick im2col
+#: (the legacy side is the test oracle ``tests/conv_reference.py``), a
+#: reordering with no arithmetic to vectorise away.  ``col2im`` and
+#: ``conv_bwd`` keep the hard 2x floor — losing the scatter-add fold is the
+#: regression they exist to catch.
 #: ``serve_report`` (``?refresh=1`` re-parse and re-render vs a warm hit on
 #: the server's resident report body) is ratio-gated like every tracked key
 #: and also carries the absolute :data:`KEY_FLOORS` entry below: the warm
@@ -51,22 +52,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: collapses the ratio to ~1.  ``serve_cost_query`` (resident vs rebuilt
 #: cost table over HTTP) includes per-request socket round-trips on both
 #: sides, so a hard multiple would gate on loopback noise; it gates on
-#: relative regressions only.  ``scheduler_decide`` (cold ASHA coordinator sync vs
-#: warm re-sync on a settled schedule) is cold-vs-warm like the serve keys
-#: — dominated by the browser scan it shares with ``report_scan`` — and is
-#: ratio-gated against its committed baseline.  ``mixedop_step`` (fused
-#: soft-gate step, legacy vs plan-cached lowering) is a modest whole-step
-#: win like ``supernet_step``; ``conv_bwd_weight`` (legacy einsum vs the
-#: plan-tier float32 weight-gradient contraction) is tracked for the ratio
-#: but also carries an absolute :data:`KEY_FLOORS` entry — losing the
-#: matmul fast form is the regression it exists to catch.
+#: relative regressions only.  ``scheduler_decide`` (cold ASHA coordinator
+#: sync vs warm re-sync on a settled schedule) is cold-vs-warm like the serve
+#: keys — dominated by the browser scan it shares with ``report_scan`` — and
+#: is ratio-gated against its committed baseline.  ``conv_bwd_weight``
+#: (legacy einsum vs the plan-tier float32 weight-gradient contraction) is
+#: tracked for the ratio but also carries an absolute :data:`KEY_FLOORS`
+#: entry — losing the matmul fast form is the regression it exists to catch.
 TRACKED_KEYS = frozenset(
     {
-        "supernet_step",
         "supernet_step_float32",
         "conv_fwd",
         "conv_bwd_weight",
-        "mixedop_step",
         "serve_report",
         "serve_cost_query",
         "scheduler_decide",

@@ -15,9 +15,8 @@ The quickest way to check where an autograd change moved the bottleneck::
 
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
 
-``--float32`` profiles the opt-in precision policy and ``--no-plans`` the
-legacy im2col/col2im lowering (both documented in docs/performance.md), so
-the relative cost of each tier can be read off directly.
+``--float32`` profiles the opt-in precision policy (documented in
+docs/performance.md), so its relative cost can be read off directly.
 ``--backward-only`` builds both forward graphs outside the profiler and
 profiles just the two ``backward()`` calls + the optimiser steps: the weight
 backward carries the weight-gradient contractions, the architecture backward
@@ -38,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.autograd import Adam, SGD, set_plans_enabled, use_dtype  # noqa: E402
+from repro.autograd import Adam, SGD, use_dtype  # noqa: E402
 from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.nas import ArchitectureParameters, SuperNet, build_cifar_search_space  # noqa: E402
 
@@ -52,11 +51,6 @@ def main() -> int:
     )
     parser.add_argument(
         "--float32", action="store_true", help="profile under the float32 precision policy"
-    )
-    parser.add_argument(
-        "--no-plans",
-        action="store_true",
-        help="disable cached convolution plans (legacy lowering)",
     )
     parser.add_argument(
         "--backward-only",
@@ -76,64 +70,60 @@ def main() -> int:
     args = parser.parse_args()
 
     dtype_scope = use_dtype("float32") if args.float32 else contextlib.nullcontext()
-    previous_plans = set_plans_enabled(not args.no_plans)
-    try:
-        with dtype_scope:
-            space = build_cifar_search_space(trainable_base_channels=args.channels)
-            supernet = SuperNet(space, rng=0)
-            arch_params = ArchitectureParameters(space, rng=1)
-            gate_rng = np.random.default_rng(2)
-            weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
-            arch_opt = Adam([arch_params.alpha], lr=0.001)
-            data_rng = np.random.default_rng(0)
-            batches = [
-                (
-                    Tensor(data_rng.normal(size=(args.batch, 3, 8, 8))),
-                    data_rng.integers(0, space.num_classes, size=args.batch),
-                )
-                for _ in range(2)
-            ]
+    with dtype_scope:
+        space = build_cifar_search_space(trainable_base_channels=args.channels)
+        supernet = SuperNet(space, rng=0)
+        arch_params = ArchitectureParameters(space, rng=1)
+        gate_rng = np.random.default_rng(2)
+        weight_opt = SGD(supernet.parameters(), lr=0.01, momentum=0.9)
+        arch_opt = Adam([arch_params.alpha], lr=0.001)
+        data_rng = np.random.default_rng(0)
+        batches = [
+            (
+                Tensor(data_rng.normal(size=(args.batch, 3, 8, 8))),
+                data_rng.integers(0, space.num_classes, size=args.batch),
+            )
+            for _ in range(2)
+        ]
 
-            def loss(batch, gates):
-                images, labels = batch
-                return space.output_head.loss(supernet(images, gates), labels, label_smoothing=0.1)
+        def loss(batch, gates):
+            images, labels = batch
+            return space.output_head.loss(supernet(images, gates), labels, label_smoothing=0.1)
 
-            profiler = cProfile.Profile()
+        profiler = cProfile.Profile()
 
-            def step(profiled: bool) -> None:
-                def phase(backward: bool):
-                    on = profiled and (backward or not args.backward_only)
-                    return profiler if on else contextlib.nullcontext()
+        def step(profiled: bool) -> None:
+            def phase(backward: bool):
+                on = profiled and (backward or not args.backward_only)
+                return profiler if on else contextlib.nullcontext()
 
-                train_batch, val_batch = batches
+            train_batch, val_batch = batches
+            with phase(backward=False):
+                gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
+                weight_loss = loss(train_batch, gates)
+            with phase(backward=True):
+                weight_opt.zero_grad()
+                weight_loss.backward()
+                weight_opt.step()
+            with supernet.frozen():
                 with phase(backward=False):
-                    gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
-                    weight_loss = loss(train_batch, gates)
+                    gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
+                    arch_loss = loss(val_batch, gates)
                 with phase(backward=True):
+                    arch_opt.zero_grad()
                     weight_opt.zero_grad()
-                    weight_loss.backward()
-                    weight_opt.step()
-                with supernet.frozen():
-                    with phase(backward=False):
-                        gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
-                        arch_loss = loss(val_batch, gates)
-                    with phase(backward=True):
-                        arch_opt.zero_grad()
-                        weight_opt.zero_grad()
-                        arch_loss.backward()
-                        arch_opt.step()
+                    arch_loss.backward()
+                    arch_opt.step()
 
-            step(profiled=False)  # warm caches (conv plans, BLAS) outside the profile
-            for _ in range(args.steps):
-                step(profiled=True)
-    finally:
-        set_plans_enabled(previous_plans)
+        step(profiled=False)  # warm caches (conv plans, BLAS) outside the profile
+        for _ in range(args.steps):
+            step(profiled=True)
 
     stats = pstats.Stats(profiler)
     print(
         f"profiled {args.steps} search step(s) (weight + arch): batch={args.batch}, "
         f"channels={args.channels}, dtype={'float32' if args.float32 else 'float64'}, "
-        f"plans={'off' if args.no_plans else 'on'}, gates=hard"
+        "gates=hard"
         + (", backward-only" if args.backward_only else "")
     )
     stats.sort_stats(args.sort).print_stats(args.limit)
