@@ -361,37 +361,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "report":
+        from repro import api
         from repro.experiments.browser import parse_filters
 
         try:
             filters = parse_filters(args.filter)
         except ValueError as error:
             raise SystemExit(str(error))
-        browse_options = dict(
-            root=args.workdir,
+        options = dict(
+            root=args.workdir or runner.base_dir,
             lock_ttl=args.lock_ttl,
             use_cache=not args.no_cache,
             refresh=args.refresh,
             filters=filters,
         )
         if args.format == "json":
-            from repro import api
-
             # One repro.api document per surface, rendered through the
             # shared strict encoder — byte-identical to the corresponding
             # `serve` endpoint body on the same runs directory.
-            document_options = dict(browse_options)
-            document_options["root"] = args.workdir or runner.base_dir
             if args.summary:
-                print(api.summary_document(**document_options).render())
+                print(api.summary_document(**options).render())
             elif args.pareto:
-                print(api.pareto_document(**document_options).render())
+                print(api.pareto_document(**options).render())
             else:
-                print(api.report_document(**document_options).render())
+                print(api.report_document(**options).render())
         elif args.summary:
-            print(runner.format_progress(runner.progress_data(**browse_options)))
+            print(runner.format_progress(api.summary_document(**options).to_dict()))
         else:
-            print(runner.report(include_pareto=args.pareto, **browse_options))
+            print(runner.report(include_pareto=args.pareto, **options))
         return 0
 
     if args.command == "serve":

@@ -16,11 +16,11 @@ stability contract.  This facade defines the contract:
 * builder functions (:func:`report_document`, :func:`pareto_document`,
   :func:`summary_document`, :func:`run_document`, :func:`cost_document`,
   :func:`submit_job`) are the single implementation both the CLI and the
-  server call — ``Runner.report_data``/``pareto_data``/``progress_data``
-  survive only as thin deprecation aliases.  :func:`report_document` is
-  :func:`report_scan` followed by :meth:`ReportScan.document`; the server
-  calls the two halves itself so that the scan's key can decide whether
-  its resident report body is still current.
+  server call (``Runner`` keeps only the text renderers).
+  :func:`report_document` is :func:`report_scan` followed by
+  :meth:`ReportScan.document`; the server calls the two halves itself so
+  that the scan's key can decide whether its resident report body is
+  still current.
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`

@@ -35,8 +35,8 @@ import numpy as np
 from repro.autograd import init
 from repro.autograd.module import Module, Parameter
 from repro.autograd.plans import get_plan
-from repro.autograd.precision import is_fast_dtype
-from repro.autograd.tensor import Tensor, as_tensor
+from repro.autograd.precision import default_dtype, is_fast_dtype
+from repro.autograd.tensor import Tensor, _unbroadcast, as_tensor
 from repro.utils.seeding import as_rng
 
 
@@ -82,15 +82,16 @@ def conv2d(
     weight_grouped = weight.data.reshape(groups, group_out, group_in * kh * kw)
 
     # One batched contraction over a groups axis replaces the per-group loop;
-    # with groups == 1 this degenerates to the plain im2col matmul.
+    # with groups == 1 this degenerates to the plain im2col matmul.  The
+    # gathered columns are dropped after the forward: only a trainable
+    # weight's gradient reads them, and it gathers them again from ``x``.
     plan = get_plan(x.shape, kernel, stride, padding, groups)
     out_h, out_w = plan.out_hw
     if is_fast_dtype(weight_grouped, x.data):
         cols_grouped = plan.im2col(x.data).reshape(n, groups, group_in * kh * kw, out_h * out_w)
         out = np.matmul(weight_grouped[None], cols_grouped)
     else:
-        cols_grouped = plan.columns(x.data)
-        out = plan.forward(cols_grouped, weight_grouped)
+        out = plan.forward(plan.columns(x.data), weight_grouped)
     out_data = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -101,8 +102,9 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
         grad_grouped = grad.reshape(n, groups, group_out, out_h * out_w)
+        weight_grouped = weight.data.reshape(groups, group_out, group_in * kh * kw)
         if weight.requires_grad:
-            grad_w = plan.grad_weight(grad_grouped, cols_grouped)
+            grad_w = plan.grad_weight(grad_grouped, plan.weight_columns(x.data))
             weight._accumulate(grad_w.reshape(weight.data.shape))
         if x.requires_grad:
             if group_in == 1 and group_out == 1:
@@ -222,6 +224,88 @@ def batchnorm_train_fused(
     return out, mean, var
 
 
+def batchnorm2d_train(
+    x: Tensor, weight: Tensor, bias: Tensor, eps: float
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode float64 batch norm over NCHW as one autograd node.
+
+    This is the graph expression::
+
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        out = (x - mean) / (var + eps) ** 0.5 * scale + shift
+
+    where ``scale`` and ``shift`` are ``weight`` and ``bias`` reshaped to
+    ``(1, C, 1, 1)``.  The expression is kept as the test oracle
+    ``tests/batchnorm_reference.py``; this node computes it without the
+    graph's 16 nodes and five full-size intermediates, keeping only
+    ``centered`` and ``normalised`` alive until backward.
+
+    Bit-identity: the forward makes the graph's operations on the same
+    operands, and the backward makes the operations the graph's nodes make,
+    in the order ``Tensor.backward``'s depth-first walk runs them.  Each
+    full-size gradient that a graph node received first is a C-order
+    ``.copy()`` in the graph (``Tensor._accumulate``), so the backward puts
+    it in C order too (``np.ascontiguousarray``) before anything reads it.
+    Reductions round in memory order, and a conv output is an NCHW view over
+    NHWC memory, so without these layouts the sums change in the last ulp.
+    ``x`` receives the graph's three contributions as three accumulations,
+    in the walk's order.
+
+    Returns ``(out, batch_mean, batch_var)``, the statistics as plain
+    keepdims-shaped arrays for the running-buffer update.
+    """
+    data = x.data
+    n, c, h, w = data.shape
+    axes = (0, 2, 3)
+    stat_shape = (1, c, 1, 1)
+    # The graph's constant operands: Tensor-wrapped Python floats.
+    inv_count = np.asarray(1.0 / (n * h * w), dtype=default_dtype())
+    eps_term = np.asarray(eps, dtype=default_dtype())
+    scale = weight.data.reshape(stat_shape)
+    mean = data.sum(axis=axes, keepdims=True) * inv_count
+    centered = data + -mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    var_eps = var + eps_term
+    std = var_eps**0.5
+    normalised = centered / std
+    out_data = normalised * scale + bias.data.reshape(stat_shape)
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, stat_shape).reshape(bias.data.shape))
+        if not (x.requires_grad or weight.requires_grad):
+            return
+        grad = np.ascontiguousarray(grad)
+        if weight.requires_grad:
+            grad_scale = _unbroadcast(grad * normalised, stat_shape)
+            weight._accumulate(grad_scale.reshape(weight.data.shape))
+        if not x.requires_grad:
+            return
+        # normalised = centered / std: the numerator's path first ...
+        grad_norm = np.ascontiguousarray(grad * scale)
+        grad_std = _unbroadcast(-grad_norm * centered / (std**2), stat_shape)
+        grad_centered = np.ascontiguousarray(grad_norm / std)
+        del grad, grad_norm
+        x._accumulate(grad_centered)
+        grad_mean = -_unbroadcast(grad_centered, stat_shape)
+        # ... then the denominator's: std = (var + eps) ** 0.5, with
+        # var = sum(centered * centered) * inv_count.
+        grad_var = grad_std * 0.5 * var_eps ** (0.5 - 1)
+        grad_square = np.ascontiguousarray(np.broadcast_to(grad_var * inv_count, x.shape))
+        grad_centered = grad_square * centered
+        del grad_square
+        grad_centered = grad_centered.copy() + grad_centered
+        x._accumulate(grad_centered)
+        grad_mean = grad_mean + -_unbroadcast(grad_centered, stat_shape)
+        del grad_centered
+        x._accumulate(np.broadcast_to(grad_mean * inv_count, x.shape))
+
+    out = Tensor._make(out_data, (x, weight, bias), backward)
+    return out, mean, var
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over the channel dimension of NCHW inputs."""
 
@@ -273,23 +357,21 @@ class BatchNorm2d(Module):
         x = as_tensor(x)
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
-        scale = self.weight.reshape(1, self.num_features, 1, 1)
-        shift = self.bias.reshape(1, self.num_features, 1, 1)
+        stat_shape = (1, self.num_features, 1, 1)
         if self.training:
             if is_fast_dtype(x.data):
+                scale = self.weight.reshape(stat_shape)
+                shift = self.bias.reshape(stat_shape)
                 out, batch_mean, batch_var = batchnorm_train_fused(
                     x, scale, shift, (0, 2, 3), self.eps
                 )
-                self._update_running(batch_mean.reshape(-1), batch_var.reshape(-1))
-                return out
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            self._update_running(mean.data.reshape(-1), var.data.reshape(-1))
-        else:
-            mean, var = self._eval_stats()
+            else:
+                out, batch_mean, batch_var = batchnorm2d_train(x, self.weight, self.bias, self.eps)
+            self._update_running(batch_mean.reshape(-1), batch_var.reshape(-1))
+            return out
+        mean, var = self._eval_stats()
         normalised = (x - mean) / (var + self.eps) ** 0.5
-        return normalised * scale + shift
+        return normalised * self.weight.reshape(stat_shape) + self.bias.reshape(stat_shape)
 
 
 class AvgPool2d(Module):

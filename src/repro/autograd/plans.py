@@ -12,7 +12,9 @@ cached.  A :class:`ConvPlan` precomputes
   with no ``np.pad`` copy.
 * ``matmul_index`` — the same map expanded over a group's input channels and
   transposed to ``(output position, column)``.  The float64 forward gathers
-  the columns straight into the ``(g, n*L, k)`` operand ``matmul`` consumes.
+  the columns straight into the ``(g, n*L, k)`` operand ``matmul`` consumes,
+  and the backward of a trainable weight gathers them again, through the
+  transposed map, into the weight gradient's ``(g, k, n*L)`` operand.
 * ``scatter_index`` — the padded-plane map expanded over the channel axis.
   col2im becomes one ``np.bincount`` scatter-add per sample instead of a
   ``kh x kw`` Python loop of strided adds.
@@ -84,7 +86,6 @@ class _Operand(NamedTuple):
     perm: Tuple[int, ...]  # order of the remaining axes
     spec: str  # the same squeeze + permutation as a one-operand einsum
     shape: Optional[Tuple[int, ...]]  # reshape target, None when there is none
-    fused: bool  # whether that reshape merges two or more axes
 
 
 class _Lowering(NamedTuple):
@@ -95,14 +96,13 @@ class _Lowering(NamedTuple):
     pure: bool  # no contracted axis: a broadcast multiply instead of matmul
 
 
-def _operand(term: str, kept: str, shape=None, fused: bool = False) -> _Operand:
+def _operand(term: str, kept: str, shape=None) -> _Operand:
     rest = [ix for ix in term if ix in kept]
     return _Operand(
         tuple(axis for axis, ix in enumerate(term) if ix not in kept),
         tuple(rest.index(ix) for ix in kept),
         f"{term}->{kept}",
         shape,
-        fused,
     )
 
 
@@ -143,7 +143,7 @@ def _bmm_lowering(eq: str, shape_a: Tuple[int, ...], shape_b: Tuple[int, ...]) -
         if all(len(group) == 1 for group in groups):
             return _operand(term, kept)
         shape = tuple(math.prod(sizes[ix] for ix in group) for group in groups)
-        return _operand(term, kept, shape, any(len(group) > 1 for group in groups))
+        return _operand(term, kept, shape)
 
     out_groups = lead + (a_keep, b_keep)
     singletons = [ix for ix in out if sizes[ix] == 1]
@@ -168,15 +168,15 @@ def _is_compact(view: np.ndarray) -> bool:
     return view.transpose(np.argsort(view.strides)[::-1]).flags.c_contiguous
 
 
-def _prepare(x: np.ndarray, op: _Operand, columns: bool = False) -> np.ndarray:
+def _prepare(x: np.ndarray, op: _Operand) -> np.ndarray:
     """The array einsum hands ``matmul`` for one operand.
 
     einsum copies an operand whose size-1 axes it squeezes; the copy keeps
     the source's memory order, so for a compact source the squeezed view has
-    the same strides and no copy is made.  ``columns`` marks im2col columns:
-    einsum fuses the legacy contiguous ``(n, g, k, l)`` columns only by
-    copying, so a fused columns operand is handed over C-contiguous whatever
-    layout the gather wrote.
+    the same strides and no copy is made.  Where einsum fuses the legacy
+    contiguous im2col columns it copies them; the plan's column gathers
+    (:meth:`ConvPlan.columns`, :meth:`ConvPlan.weight_columns`) write that
+    copy's C-contiguous layout themselves, so the reshape here is a view.
     """
     if op.drop:
         view = np.squeeze(x, axis=op.drop).transpose(op.perm)
@@ -186,19 +186,17 @@ def _prepare(x: np.ndarray, op: _Operand, columns: bool = False) -> np.ndarray:
         view = x.transpose(op.perm)
     if op.shape is not None:
         view = view.reshape(op.shape)
-        if columns and op.fused:
-            view = np.ascontiguousarray(view)
     return view
 
 
-def _bmm(eq: str, a: np.ndarray, b: np.ndarray, columns: bool = False) -> np.ndarray:
+def _bmm(eq: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum(eq, a, b, optimize=True)`` as the ``matmul`` it makes.
 
     ``eq`` lists the operands in the order einsum contracts them, which for
     two operands is the reverse of the order they are written in.
     """
     lowering = _bmm_lowering(eq, a.shape, b.shape)
-    a = _prepare(a, lowering.a, columns)
+    a = _prepare(a, lowering.a)
     b = _prepare(b, lowering.b)
     if lowering.pure:
         return np.multiply(a, b)
@@ -344,10 +342,10 @@ class ConvPlan:
 
         The memory layout follows :meth:`fuses_columns`: ``(g, n, l, k)``
         (one ``take`` over group-major planes) when the forward fuses, the
-        legacy contiguous layout otherwise.  A fusing trivial plan returns a
-        view of ``x`` itself; :func:`_prepare` makes it contiguous only for
-        the contraction that needs it, so an NHWC-strided input feeds the
-        forward without any copy.
+        legacy contiguous layout otherwise.  A fusing trivial plan's columns
+        are ``x`` itself in that layout: a view when ``x`` already has it (an
+        NHWC-strided ``g = 1`` input), else the copy einsum makes when it
+        fuses the legacy columns.
         """
         n, c, h, w = x.shape
         g = self.groups
@@ -356,9 +354,44 @@ class ConvPlan:
         if not self.fuses_columns(n):
             return self.im2col(x).reshape(n, g, k, length)
         if self.trivial:
-            return x.reshape(n, g, k, length)
+            operand = x.reshape(n, g, k, length).transpose(1, 0, 3, 2)
+            return np.ascontiguousarray(operand).transpose(1, 0, 3, 2)
         planes = self._source(x, group_major=True).reshape(g, n, -1)
         return planes.take(self.matmul_index, axis=2).transpose(1, 0, 3, 2)
+
+    def weight_columns(self, x: np.ndarray) -> np.ndarray:
+        """im2col for the weight gradient, gathered again from the input.
+
+        Only the weight gradient reads a convolution's columns, so the
+        forward drops them and the backward of a trainable weight calls this
+        instead.  The values are those of :meth:`columns`, written in the
+        memory layout :meth:`grad_weight`'s contraction reads, so no
+        transposing copy follows:
+
+        * **float64** — C-contiguous ``(g, k, n*l)`` (logically ``(n, g, k, l)``),
+          the copy einsum makes when it fuses ``(n, l)``, written by one
+          ``take`` through :attr:`matmul_index` offset per sample.
+          With one output position nothing is fused and einsum reads the
+          legacy contiguous columns, so those are returned.
+        * **float32** — the legacy contiguous columns (:meth:`im2col`) the
+          batched ``matmul`` form reads.
+        """
+        n, c, h, w = x.shape
+        g = self.groups
+        length = self.out_hw[0] * self.out_hw[1]
+        k = (c // g) * self.kernel[0] * self.kernel[1]
+        if is_fast_dtype(x) or length == 1:
+            return self.im2col(x).reshape(n, g, k, length)
+        if self.trivial:
+            operand = x.reshape(n, g, k, length).transpose(1, 2, 0, 3)
+            return np.ascontiguousarray(operand).transpose(2, 0, 1, 3)
+        planes = self._source(x, group_major=True).reshape(g, n, -1)
+        # Row (channel, tap), column (sample, position): the forward's
+        # per-sample map plus each sample's offset into its group's planes.
+        offsets = np.arange(n, dtype=np.intp)[:, None] * planes.shape[2]
+        index = (self.matmul_index.T[:, None, :] + offsets).reshape(k, n * length)
+        cols = planes.reshape(g, -1).take(index, axis=1)
+        return cols.reshape(g, k, n, length).transpose(2, 0, 1, 3)
 
     def forward(self, cols: np.ndarray, weight_grouped: np.ndarray) -> np.ndarray:
         """``(n, g, k, l) x (g, o, k) -> (n, g, o, l)``, float64.
@@ -366,13 +399,12 @@ class ConvPlan:
         The einsum's strided output view, e.g. NCHW over NHWC memory for
         ``g = 1`` — not a contiguous copy.
         """
-        return _bmm("ngkl,gok->ngol", cols, weight_grouped, columns=True)
+        return _bmm("ngkl,gok->ngol", cols, weight_grouped)
 
     def grad_weight(self, grad_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
         """Weight-gradient contraction ``(n,g,o,l) x (n,g,k,l) -> (g,o,k)``.
 
-        The plan tier owns the contraction so the weight gradient reuses the
-        cached gather columns (for trivial plans, a view of the forward input).
+        ``cols_grouped`` is :meth:`weight_columns` of the forward input.
 
         * **float64** — einsum's own matmul over the same operands, so the
           accumulation order (the golden bit-identity contract) is unchanged.
@@ -383,7 +415,7 @@ class ConvPlan:
         """
         if is_fast_dtype(grad_grouped, cols_grouped):
             return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-        return _bmm("ngkl,ngol->gok", cols_grouped, grad_grouped, columns=True)
+        return _bmm("ngkl,ngol->gok", cols_grouped, grad_grouped)
 
     def grad_columns(self, weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
         """Column gradient ``(g, o, k) x (n, g, o, l) -> (n, g, k, l)``.

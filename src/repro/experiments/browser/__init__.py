@@ -17,10 +17,10 @@ queue produces.  This package is the read path that scales:
   cache (``<runs>/.browser_cache.json``), written atomically, invalidated
   by schema version and per-run source signatures.
 
-:func:`browse` ties the three together and is what ``Runner.report`` /
-``report_data`` / ``pareto_data`` and the ``report`` CLI run on; it is
-also the persistence read-half a future ``python -m repro serve`` API
-queries.  Design notes in ``docs/browser.md``.
+:func:`browse` ties the three together and is what ``Runner.report``,
+the :mod:`repro.api` documents and the ``report`` CLI run on; it is also
+the persistence read-half the ``python -m repro serve`` API queries.
+Design notes in ``docs/browser.md``.
 """
 
 from pathlib import Path

@@ -279,11 +279,16 @@ class TestGraphRelease:
     def _conv_loss():
         from repro.autograd import BatchNorm2d, Conv2d, GlobalAvgPool2d, ReLU, Sequential
 
+        # Two conv + BatchNorm2d blocks: training-mode BatchNorm2d is a
+        # single node, so one block alone leaves fewer than ten interior nodes.
         block = Sequential(
             Conv2d(3, 6, 3, padding=1, rng=0),
             BatchNorm2d(6),
             ReLU(),
             Conv2d(6, 6, 3, padding=1, groups=6, rng=1),
+            BatchNorm2d(6),
+            ReLU(),
+            Conv2d(6, 6, 1, rng=2),
             GlobalAvgPool2d(),
         )
         x = np.random.default_rng(3).normal(size=(2, 3, 6, 6))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.__main__ import main
 from repro.core.results import SearchResult
 from repro.experiments import Runner
@@ -121,8 +122,8 @@ def report_surfaces(root: Path, **options) -> tuple:
     runner = Runner(base_dir=root)
     return (
         runner.report(root=root, include_pareto=True, **options),
-        json.dumps(runner.report_data(root=root, **options), allow_nan=False),
-        runner.format_progress(runner.progress_data(root=root, **options)),
+        json.dumps(api.report_document(root, **options).to_dict(), allow_nan=False),
+        runner.format_progress(api.summary_document(root, **options).to_dict()),
     )
 
 
@@ -214,8 +215,8 @@ class TestRunSummary:
         full = SearchResult.from_dict(payload)
         assert runner.format_report([facade]) == runner.format_report([full])
         assert runner.format_pareto(
-            runner.pareto_data(named_results=[("run", facade)])
-        ) == runner.format_pareto(runner.pareto_data(named_results=[("run", full)]))
+            api.pareto_records([("run", facade)])
+        ) == runner.format_pareto(api.pareto_records([("run", full)]))
 
     def test_cache_record_round_trip(self, tmp_path):
         make_run(tmp_path, "run", result=result_payload(), config=config_payload())
@@ -406,7 +407,7 @@ class TestReportParity:
         expected = runner.format_report(
             [result for _, result in named], title=f"Results under {tmp_path}"
         )
-        expected += "\n\n" + runner.format_pareto(runner.pareto_data(named_results=named))
+        expected += "\n\n" + runner.format_pareto(api.pareto_records(named))
         legacy_status = {
             path.parent.name: {"state": item_state(path.parent, lock_ttl=60)}
             for path in sorted(tmp_path.glob("*/config.json"))
@@ -493,28 +494,26 @@ class TestFilters:
             config=config_payload(seed=9, task="detection"),
         )
         make_run(tmp_path, "a-run", result=result_payload(accuracy=0.42), config=config_payload())
-        runner = Runner(base_dir=tmp_path)
-        full = {r["run"]: r["on_front"] for r in runner.pareto_data(root=tmp_path)}
+        full = {r["run"]: r["on_front"] for r in api.pareto_document(tmp_path).records}
         assert full == {"a-run": True, "dominated": False}
-        sliced = runner.report_data(root=tmp_path, filters={"task": "detection"})
+        sliced = api.report_document(tmp_path, filters={"task": "detection"}).to_dict()
         assert [(r["run"], r["on_front"]) for r in sliced["pareto"]] == [("dominated", True)]
         assert sliced["summary"]["results"] == 1
 
     def test_state_and_method_filters(self, tmp_path):
         mixed_tree(tmp_path)
-        runner = Runner(base_dir=tmp_path)
-        failed = runner.progress_data(root=tmp_path, filters={"state": "failed"})
-        assert failed["states"] == {"failed": 1}
+        failed = api.summary_document(tmp_path, filters={"state": "failed"})
+        assert failed.states == {"failed": 1}
         # method matches the config key or the result display name
-        by_key = runner.progress_data(root=tmp_path, filters={"method": "baseline"})
-        by_name = runner.progress_data(root=tmp_path, filters={"method": "DANCE (w/ FF)"})
-        assert by_key["runs"] == 1
-        assert by_name["runs"] >= 1
+        by_key = api.summary_document(tmp_path, filters={"method": "baseline"})
+        by_name = api.summary_document(tmp_path, filters={"method": "DANCE (w/ FF)"})
+        assert by_key.runs == 1
+        assert by_name.runs >= 1
 
     def test_progress_summary_counts(self, tmp_path):
         mixed_tree(tmp_path)
         runner = Runner(base_dir=tmp_path)
-        progress = runner.progress_data(root=tmp_path)
+        progress = api.summary_document(tmp_path).to_dict()
         assert progress["runs"] == 7
         assert progress["states"] == {
             "checkpointed": 1,

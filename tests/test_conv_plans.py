@@ -8,7 +8,8 @@ oracle in ``tests/conv_reference.py``.  These tests sweep the geometry grid
 the search space actually uses (kernel x stride x padding x groups,
 including the height-1 sequence-task shapes) and assert exact equality of
 activations and every gradient; float32 runs the same graphs and is checked
-to tolerance.
+to tolerance.  A conv node keeps its input, not its columns: the weight
+gradient gathers them again (``TestWeightColumns``).
 """
 
 from __future__ import annotations
@@ -300,3 +301,97 @@ class TestPlanCache:
     def test_empty_output_geometry_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             get_plan((1, 1, 2, 2), (5, 5), (1, 1), (0, 0))
+
+
+# Weight-gradient column geometries, as (input NCHW, kernel, stride, padding,
+# groups): depthwise 3/5/7, grouped, strided, padded, pointwise, batch 1.
+WEIGHT_COLUMN_GRID = [
+    ((4, 6, 8, 8), (3, 3), (1, 1), (1, 1), 6),
+    ((4, 6, 8, 8), (5, 5), (1, 1), (2, 2), 6),
+    ((4, 6, 8, 8), (7, 7), (1, 1), (3, 3), 6),
+    ((3, 6, 9, 9), (3, 3), (2, 2), (1, 1), 3),
+    ((2, 3, 8, 8), (3, 3), (1, 1), (1, 1), 1),
+    ((2, 6, 10, 7), (3, 3), (2, 1), (0, 1), 2),
+    ((2, 4, 1, 16), (1, 3), (1, 2), (0, 1), 4),
+    ((2, 8, 6, 6), (1, 1), (1, 1), (0, 0), 2),
+    ((2, 4, 6, 6), (1, 1), (2, 2), (0, 0), 4),
+    ((1, 6, 8, 8), (3, 3), (1, 1), (1, 1), 6),
+]
+
+
+def _nhwc(array):
+    """``array`` (NCHW) over channels-last memory, the layout conv outputs have."""
+    return np.ascontiguousarray(array.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestWeightColumns:
+    """The backward re-gathers the weight gradient's columns from ``x``."""
+
+    @pytest.mark.parametrize("shape,kernel,stride,padding,groups", WEIGHT_COLUMN_GRID)
+    def test_operand_is_contiguous_gkl_with_the_columns_values(
+        self, shape, kernel, stride, padding, groups
+    ):
+        rng = np.random.default_rng(30)
+        plan = get_plan(shape, kernel, stride, padding, groups)
+        n = shape[0]
+        length = plan.out_hw[0] * plan.out_hw[1]
+        taps = (shape[1] // groups) * kernel[0] * kernel[1]
+        cout = 2 * groups
+        # A full batch, then an odd-sized last batch through the same plan.
+        for batch in sorted({n, max(1, n - 1)}, reverse=True):
+            x = rng.normal(size=(batch,) + shape[1:])
+            grad = rng.normal(size=(batch, groups, cout // groups, length))
+            legacy = conv_reference.im2col(x, kernel, stride, padding)[0]
+            reference = np.einsum(
+                "ngol,ngkl->gok", grad, legacy.reshape(batch, groups, taps, length), optimize=True
+            )
+            for layout in (x, _nhwc(x)):
+                cols = plan.weight_columns(layout)
+                assert cols.shape == (batch, groups, taps, length)
+                assert np.array_equal(cols, plan.columns(layout))
+                assert cols.transpose(1, 2, 0, 3).flags.c_contiguous
+                assert np.array_equal(plan.grad_weight(grad, cols), reference)
+
+    def test_conv_node_holds_no_array_larger_than_its_input(self):
+        rng = np.random.default_rng(31)
+        for shape, kernel, padding, groups, cout in [
+            ((4, 48, 8, 8), (7, 7), (3, 3), 48, 48),
+            ((4, 6, 8, 8), (3, 3), (1, 1), 1, 6),
+            ((4, 6, 8, 8), (1, 1), (0, 0), 1, 12),
+        ]:
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            weight = Tensor(
+                rng.normal(size=(cout, shape[1] // groups) + kernel), requires_grad=True
+            )
+            out = conv2d(x, weight, padding=padding, groups=groups)
+            held = [cell.cell_contents for cell in out._backward.__closure__]
+            assert all(
+                value.nbytes <= x.data.nbytes
+                for value in held
+                if isinstance(value, np.ndarray)
+            )
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_frozen_weight_backward_gathers_nothing(self, monkeypatch, dtype):
+        calls = []
+        for name in ("im2col", "columns", "weight_columns"):
+            method = getattr(plans.ConvPlan, name)
+
+            def spy(plan, x, _name=name, _method=method):
+                calls.append(_name)
+                return _method(plan, x)
+
+            monkeypatch.setattr(plans.ConvPlan, name, spy)
+        rng = np.random.default_rng(32)
+        with use_dtype(dtype):
+            for trainable in (False, True):
+                x = Tensor(rng.normal(size=(4, 6, 8, 8)), requires_grad=True)
+                weight = Tensor(rng.normal(size=(6, 1, 5, 5)), requires_grad=trainable)
+                out = conv2d(x, weight, padding=2, groups=6)
+                calls.clear()
+                (out * out).sum().backward()
+                if trainable:
+                    assert calls[0] == "weight_columns"
+                else:
+                    assert calls == []
+                assert x.grad is not None

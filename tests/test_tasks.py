@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import api
 from repro.autograd import Tensor, no_grad
 from repro.autograd.functional import softmax
 from repro.data import DataLoader, make_detection_dataset, make_sequence_dataset
@@ -458,7 +459,7 @@ class TestParetoData:
         self._write_result(
             tmp_path / "b" / "dance-cifar-seed0", accuracy=0.5, edap_parts=(9.0, 9.0, 9.0)
         )
-        records = Runner(base_dir=tmp_path).pareto_data()
+        records = api.pareto_document(tmp_path).records
         flags = {record["run"]: record["on_front"] for record in records}
         assert flags == {"a/dance-cifar-seed0": True, "b/dance-cifar-seed0": False}
 
@@ -468,7 +469,7 @@ class TestParetoData:
         self._write_result(tmp_path / "b", accuracy=0.5, edap_parts=(1.0, 1.0, 1.0))
         self._write_result(tmp_path / "c", accuracy=0.4, edap_parts=(1.5, 1.0, 1.0))
         self._write_result(tmp_path / "nan", accuracy=float("nan"), edap_parts=(1, 1, 1))
-        records = Runner(base_dir=tmp_path).pareto_data()
+        records = api.pareto_document(tmp_path).records
         by_run = {record["run"]: record for record in records}
         assert set(by_run) == {"a", "b", "c"}  # NaN accuracy excluded
         assert by_run["a"]["on_front"] and by_run["b"]["on_front"]

@@ -15,6 +15,11 @@ The quickest way to check where an autograd change moved the bottleneck::
 
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
 
+Before profiling, one unprofiled step pair runs under ``tracemalloc``; the
+tool prints the graph nodes each step's forward built and each step's
+tracemalloc peak (the memory the step allocated on top of what was already
+live), so a change to the engine's per-node cost shows up in the same run.
+
 ``--float32`` profiles the opt-in precision policy (documented in
 docs/performance.md), so its relative cost can be read off directly.
 ``--backward-only`` builds both forward graphs outside the profiler and
@@ -30,7 +35,9 @@ import contextlib
 import cProfile
 import pstats
 import sys
+import tracemalloc
 from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -40,6 +47,19 @@ import numpy as np  # noqa: E402
 from repro.autograd import Adam, SGD, use_dtype  # noqa: E402
 from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.nas import ArchitectureParameters, SuperNet, build_cifar_search_space  # noqa: E402
+
+
+def graph_nodes(root: Tensor) -> int:
+    """The interior (backward-carrying) nodes of the graph that built ``root``."""
+    count, seen, stack = 0, {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
 
 
 def main() -> int:
@@ -92,30 +112,40 @@ def main() -> int:
 
         profiler = cProfile.Profile()
 
-        def step(profiled: bool) -> None:
+        def step(profiled: bool, memory: Optional[Dict[str, Tuple[int, int]]] = None) -> None:
+            """One weight + arch step pair; ``memory`` collects (nodes, peak) per step."""
+
             def phase(backward: bool):
                 on = profiled and (backward or not args.backward_only)
                 return profiler if on else contextlib.nullcontext()
+
+            def train(name: str, step_loss: Tensor, optimiser) -> None:
+                nodes = graph_nodes(step_loss) if memory is not None else 0
+                with phase(backward=True):
+                    arch_opt.zero_grad()
+                    weight_opt.zero_grad()
+                    step_loss.backward()
+                    optimiser.step()
+                if memory is not None:
+                    memory[name] = (nodes, tracemalloc.get_traced_memory()[1])
+                    tracemalloc.reset_peak()
 
             train_batch, val_batch = batches
             with phase(backward=False):
                 gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
                 weight_loss = loss(train_batch, gates)
-            with phase(backward=True):
-                weight_opt.zero_grad()
-                weight_loss.backward()
-                weight_opt.step()
+            train("weight", weight_loss, weight_opt)
             with supernet.frozen():
                 with phase(backward=False):
                     gates = arch_params.sample_gumbel(hard=True, rng=gate_rng)
                     arch_loss = loss(val_batch, gates)
-                with phase(backward=True):
-                    arch_opt.zero_grad()
-                    weight_opt.zero_grad()
-                    arch_loss.backward()
-                    arch_opt.step()
+                train("arch", arch_loss, arch_opt)
 
         step(profiled=False)  # warm caches (conv plans, BLAS) outside the profile
+        memory: Dict[str, Tuple[int, int]] = {}
+        tracemalloc.start()
+        step(profiled=False, memory=memory)
+        tracemalloc.stop()
         for _ in range(args.steps):
             step(profiled=True)
 
@@ -126,6 +156,9 @@ def main() -> int:
         "gates=hard"
         + (", backward-only" if args.backward_only else "")
     )
+    for name, (nodes, peak) in memory.items():
+        print(f"{name} step: {nodes} graph nodes, tracemalloc peak {peak / 2**20:.1f} MiB")
+    print(f"graph nodes per step pair: {sum(nodes for nodes, _ in memory.values())}")
     stats.sort_stats(args.sort).print_stats(args.limit)
     if args.output is not None:
         stats.dump_stats(str(args.output))
