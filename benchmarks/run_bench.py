@@ -276,11 +276,13 @@ def main() -> int:
     results["conv_bwd"] = {"before_s": before, "after_s": after, "speedup": before / after, **conv_meta}
     print(f"conv_bwd:             {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
-    # Weight-gradient contraction: the legacy einsum vs the plan-tier
-    # ``ConvPlan.grad_weight`` on the same depthwise geometry, at float32 —
-    # the regime where the plan tier switches to the per-sample batched
-    # matmul fast form.  (At float64 the plan tier makes the matmul einsum
-    # itself makes: the accumulation order is the bit-identity contract.)
+    # Weight-gradient contraction: the legacy einsum vs the plan tier's
+    # float32 contraction (``plans.grad_weight_fast``, which
+    # ``ConvPlan.grad_weight`` runs over the gathered columns) on the same
+    # depthwise geometry and columns — the regime where the plan tier
+    # switches to the per-sample batched matmul fast form.  (At float64 the
+    # plan tier makes the matmul einsum itself makes: the accumulation order
+    # is the bit-identity contract.)
     cols32 = plan.im2col(conv_x.astype(np.float32)).reshape(
         conv_batch, conv_channels, conv_kernel * conv_kernel, positions
     )
@@ -294,7 +296,7 @@ def main() -> int:
         np.einsum("ngol,ngkl->gok", grad32, cols32, optimize=True)
 
     def plan_grad_weight() -> None:
-        plan.grad_weight(grad32, cols32)
+        conv_plans.grad_weight_fast(grad32, cols32)
 
     legacy_grad_weight()  # warm the einsum path cache
     plan_grad_weight()

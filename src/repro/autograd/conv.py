@@ -8,14 +8,14 @@ Tensor, using im2col so the heavy lifting happens inside numpy matmuls.
 
 Every convolution and pooling window lowers through the cached
 :mod:`repro.autograd.plans` tier (see ``docs/performance.md``): one
-precomputed gather per forward, written straight into the layout ``matmul``
-consumes, the ``matmul`` calls numpy's einsum would make (same operand
-strides, so the same BLAS accumulation order), and one bincount scatter-add
-(or, for depthwise layers, a fused tap-by-tap fold) per backward.  At the
-float64 default this is bit-identical to the historical stride-trick/loop/
-einsum lowering, which survives only as the parity oracle of the tests
-(``tests/conv_reference.py``).  1x1/stride-1/pad-0 geometries use zero-copy
-trivial plans.
+precomputed gather per cache-sized block of groups, written straight into
+the layout ``matmul`` consumes, the ``matmul`` calls numpy's einsum would
+make (same operand strides, so the same BLAS accumulation order), and one
+bincount scatter-add (or, for depthwise layers, a fused tap-by-tap fold)
+per backward.  At the float64 default this is bit-identical to the
+historical stride-trick/loop/einsum lowering, which survives only as the
+parity oracle of the tests (``tests/conv_reference.py``).
+1x1/stride-1/pad-0 geometries use zero-copy trivial plans.
 
 Kernels compute in the tensors' dtype (the :mod:`repro.autograd.precision`
 policy).  Under the opt-in float32 training policy the forward and column
@@ -83,15 +83,16 @@ def conv2d(
 
     # One batched contraction over a groups axis replaces the per-group loop;
     # with groups == 1 this degenerates to the plain im2col matmul.  The
-    # gathered columns are dropped after the forward: only a trainable
-    # weight's gradient reads them, and it gathers them again from ``x``.
+    # float64 forward gathers the columns a block of groups at a time and
+    # keeps none: only a trainable weight's gradient reads them, and it
+    # gathers them again from ``x``.
     plan = get_plan(x.shape, kernel, stride, padding, groups)
     out_h, out_w = plan.out_hw
     if is_fast_dtype(weight_grouped, x.data):
         cols_grouped = plan.im2col(x.data).reshape(n, groups, group_in * kh * kw, out_h * out_w)
         out = np.matmul(weight_grouped[None], cols_grouped)
     else:
-        out = plan.forward(plan.columns(x.data), weight_grouped)
+        out = plan.forward(x.data, weight_grouped)
     out_data = out.reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -104,7 +105,7 @@ def conv2d(
         grad_grouped = grad.reshape(n, groups, group_out, out_h * out_w)
         weight_grouped = weight.data.reshape(groups, group_out, group_in * kh * kw)
         if weight.requires_grad:
-            grad_w = plan.grad_weight(grad_grouped, plan.weight_columns(x.data))
+            grad_w = plan.grad_weight(grad_grouped, x.data)
             weight._accumulate(grad_w.reshape(weight.data.shape))
         if x.requires_grad:
             if group_in == 1 and group_out == 1:

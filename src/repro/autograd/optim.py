@@ -145,8 +145,12 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay > 0.0:
                 grad = grad + self.weight_decay * param.data
-            m = self._m.get(id(param), np.zeros_like(param.data))
-            v = self._v.get(id(param), np.zeros_like(param.data))
+            m = self._m.get(id(param))
+            if m is None:
+                m = np.zeros_like(param.data)
+            v = self._v.get(id(param))
+            if v is None:
+                v = np.zeros_like(param.data)
             m = self.beta1 * m + (1 - self.beta1) * grad
             v = self.beta2 * v + (1 - self.beta2) * grad * grad
             self._m[id(param)] = m

@@ -14,7 +14,8 @@ cached.  A :class:`ConvPlan` precomputes
   transposed to ``(output position, column)``.  The float64 forward gathers
   the columns straight into the ``(g, n*L, k)`` operand ``matmul`` consumes,
   and the backward of a trainable weight gathers them again, through the
-  transposed map, into the weight gradient's ``(g, k, n*L)`` operand.
+  transposed map, into the weight gradient's ``(g, k, n*L)`` operand — a
+  block of groups at a time (:meth:`ConvPlan.column_blocks`).
 * ``scatter_index`` — the padded-plane map expanded over the channel axis.
   col2im becomes one ``np.bincount`` scatter-add per sample instead of a
   ``kh x kw`` Python loop of strided adds.
@@ -26,10 +27,13 @@ would pass (:func:`_bmm_lowering`).  BLAS picks its kernel and accumulation
 order from those strides, so this is bit-identical to the legacy lowering.
 What it removes is einsum's own work: recomputing the contraction path on
 every call, and the reshape copy that transposes im2col columns into the
-matmul layout — the gather writes that layout directly.  The output is the
-same strided view einsum returns (for ``g = 1``, NCHW shape over NHWC
-memory): downstream BatchNorm reductions round by memory order, so a
-contiguous copy would change results in the last ulp.
+matmul layout — the gather writes that layout directly — and the full
+column array: numpy's batched ``matmul`` makes one BLAS call per group, so
+gathering and contracting :data:`BLOCK_BYTES` of groups at a time makes the
+same BLAS calls on the same strides while the columns stay in cache.  The
+output is the same strided view einsum returns (for ``g = 1``, NCHW shape
+over NHWC memory): downstream BatchNorm reductions round by memory order,
+so a contiguous copy would change results in the last ulp.
 
 Three more pieces complete the tier:
 
@@ -60,7 +64,7 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +74,11 @@ from repro.autograd.precision import is_fast_dtype
 #: the bound only matters for pathological callers (e.g. a sweep over many
 #: resolutions in one process) where old plans are evicted LRU-first.
 MAX_PLANS = 128
+
+#: Bytes of gathered im2col columns the float64 contractions hold at a time
+#: (at least one group's): half a 2 MiB L2, so each block is gathered and
+#: contracted in cache instead of streamed out to DRAM and back.
+BLOCK_BYTES = 1 << 20
 
 _lock = threading.Lock()
 _cache: "OrderedDict[Tuple, ConvPlan]" = OrderedDict()
@@ -174,9 +183,9 @@ def _prepare(x: np.ndarray, op: _Operand) -> np.ndarray:
     einsum copies an operand whose size-1 axes it squeezes; the copy keeps
     the source's memory order, so for a compact source the squeezed view has
     the same strides and no copy is made.  Where einsum fuses the legacy
-    contiguous im2col columns it copies them; the plan's column gathers
-    (:meth:`ConvPlan.columns`, :meth:`ConvPlan.weight_columns`) write that
-    copy's C-contiguous layout themselves, so the reshape here is a view.
+    contiguous im2col columns it copies them; the plan's column gather
+    (:meth:`ConvPlan.column_blocks`) writes that copy's C-contiguous layout
+    itself, so only columns einsum does not fuse pass through here.
     """
     if op.drop:
         view = np.squeeze(x, axis=op.drop).transpose(op.perm)
@@ -200,12 +209,26 @@ def _bmm(eq: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _prepare(b, lowering.b)
     if lowering.pure:
         return np.multiply(a, b)
-    product = np.matmul(a, b)
+    return _finish(np.matmul(a, b), lowering)
+
+
+def _finish(product: np.ndarray, lowering: _Lowering) -> np.ndarray:
+    """einsum's reshape and transpose of the ``matmul`` product to the output subscripts."""
     if lowering.out_shape is not None:
         product = product.reshape(lowering.out_shape)
     if lowering.out_perm is not None:
         product = product.transpose(lowering.out_perm)
     return product
+
+
+def grad_weight_fast(grad_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
+    """The float32 weight gradient ``(n,g,o,l) x (n,g,k,l) -> (g,o,k)``.
+
+    Per-sample batched ``matmul`` + sum over the batch axis, ~3x faster than
+    the einsum on the depthwise bench geometry (``conv_bwd_weight`` bench
+    key); tolerance-equal, which is the float32 regime's contract.
+    """
+    return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
 
 
 def _inside(offset: int, stride: int, count: int, size: int) -> Tuple[int, int]:
@@ -295,20 +318,6 @@ class ConvPlan:
         ).reshape(-1)
 
     # ------------------------------------------------------------------
-    def fuses_columns(self, n: int) -> bool:
-        """Whether the float64 forward fuses the columns' batch and position axes.
-
-        einsum fuses ``(n, l)`` into matmul's row axis when both have more
-        than one element and a contraction axis is left (``k > 1``); this is
-        the one rule that chooses the column layout.  When it fuses, the
-        gather writes the ``(g, n, l, k)`` layout of that fused operand.
-        Otherwise einsum passes matmul strided views of the legacy
-        contiguous ``(n, g, k, l)`` columns, so the gather writes those.
-        """
-        c = self.input_shape[1]
-        taps = (c // self.groups) * self.kernel[0] * self.kernel[1]
-        return n > 1 and self.out_hw[0] * self.out_hw[1] > 1 and taps > 1
-
     def _source(self, x: np.ndarray, group_major: bool) -> np.ndarray:
         """``x`` as ``(n, g, c/g, rows, w)`` planes (``g`` first if ``group_major``),
         with a zero sentinel row below every plane when the geometry is padded."""
@@ -337,85 +346,108 @@ class ConvPlan:
         planes = self._source(x, group_major=False).reshape(n, c, -1)
         return planes.take(self.gather_index, axis=2).reshape(n, c * taps, length)
 
-    def columns(self, x: np.ndarray) -> np.ndarray:
-        """im2col for the float64 contractions: logical ``(n, g, k, l)`` columns.
+    def column_blocks(
+        self, x: np.ndarray, transposed: bool
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """The fused float64 columns of ``x``, a cache-sized block of groups at a time.
 
-        The memory layout follows :meth:`fuses_columns`: ``(g, n, l, k)``
-        (one ``take`` over group-major planes) when the forward fuses, the
-        legacy contiguous layout otherwise.  A fusing trivial plan's columns
-        are ``x`` itself in that layout: a view when ``x`` already has it (an
-        NHWC-strided ``g = 1`` input), else the copy einsum makes when it
-        fuses the legacy columns.
+        Yields ``(g0, g1, block)``: groups ``[g0, g1)``'s columns as the
+        C-contiguous matmul operand einsum's fusing copy builds, ``(b, n*l,
+        k)`` for the forward, or ``(b, k, n*l)`` for the weight gradient when
+        ``transposed``.  A block holds at most :data:`BLOCK_BYTES` (at least
+        one group), so it is gathered and contracted while it is in cache;
+        all blocks share one buffer, so each is valid until the next one is
+        yielded.
+
+        Non-trivial plans gather with one ``take`` per block: through
+        :attr:`matmul_index` over each sample's plane, or, transposed,
+        through a ``(k, n*l)`` map of ``matmul_index`` transposed plus each
+        sample's offset, built per call.  A trivial plan's columns are ``x``
+        in that layout: a view when ``x`` already has it (the forward of an
+        NHWC-strided ``g = 1`` input), else a copy.
         """
         n, c, h, w = x.shape
         g = self.groups
         length = self.out_hw[0] * self.out_hw[1]
         k = (c // g) * self.kernel[0] * self.kernel[1]
-        if not self.fuses_columns(n):
-            return self.im2col(x).reshape(n, g, k, length)
+        shape = (k, n * length) if transposed else (n * length, k)
+        step = max(1, BLOCK_BYTES // (n * length * k * x.itemsize))
         if self.trivial:
-            operand = x.reshape(n, g, k, length).transpose(1, 0, 3, 2)
-            return np.ascontiguousarray(operand).transpose(1, 0, 3, 2)
+            order = (1, 2, 0, 3) if transposed else (1, 0, 3, 2)
+            grouped = x.reshape(n, g, k, length).transpose(order)
+            for g0 in range(0, g, step):
+                g1 = min(g0 + step, g)
+                yield g0, g1, np.ascontiguousarray(grouped[g0:g1]).reshape((g1 - g0,) + shape)
+            return
         planes = self._source(x, group_major=True).reshape(g, n, -1)
-        return planes.take(self.matmul_index, axis=2).transpose(1, 0, 3, 2)
+        if transposed:
+            # Row (channel, tap), column (sample, position): the forward's
+            # per-sample map plus each sample's offset into its group's planes.
+            offsets = np.arange(n, dtype=np.intp)[:, None] * planes.shape[2]
+            index = (self.matmul_index.T[:, None, :] + offsets).reshape(shape)
+            planes = planes.reshape(g, -1)
+        else:
+            index = self.matmul_index
+        buffer = np.empty((min(step, g),) + planes.shape[1:-1] + index.shape, dtype=x.dtype)
+        for g0 in range(0, g, step):
+            g1 = min(g0 + step, g)
+            block = buffer[: g1 - g0]
+            # "clip" lets take write into ``block`` unbuffered; every index is in range.
+            planes[g0:g1].take(index, axis=-1, out=block, mode="clip")
+            yield g0, g1, block.reshape((g1 - g0,) + shape)
 
-    def weight_columns(self, x: np.ndarray) -> np.ndarray:
-        """im2col for the weight gradient, gathered again from the input.
+    def _contract(self, eq: str, x: np.ndarray, other: np.ndarray, transposed: bool) -> np.ndarray:
+        """``_bmm(eq, columns, other)`` over the ``(n, g, k, l)`` columns of ``x``.
 
-        Only the weight gradient reads a convolution's columns, so the
-        forward drops them and the backward of a trainable weight calls this
-        instead.  The values are those of :meth:`columns`, written in the
-        memory layout :meth:`grad_weight`'s contraction reads, so no
-        transposing copy follows:
-
-        * **float64** — C-contiguous ``(g, k, n*l)`` (logically ``(n, g, k, l)``),
-          the copy einsum makes when it fuses ``(n, l)``, written by one
-          ``take`` through :attr:`matmul_index` offset per sample.
-          With one output position nothing is fused and einsum reads the
-          legacy contiguous columns, so those are returned.
-        * **float32** — the legacy contiguous columns (:meth:`im2col`) the
-          batched ``matmul`` form reads.
+        Where einsum fuses the columns, they are gathered and contracted a
+        block of groups at a time (:meth:`column_blocks`), each block's
+        ``matmul`` writing its slice of the one product einsum's ``matmul``
+        returns.  numpy's batched ``matmul`` makes one BLAS call per group,
+        and a block slice hands each group's matrices over with the same
+        shape and strides, so every BLAS call is the one the whole-batch
+        ``matmul`` makes.  For ``g = 1`` the loop runs once.  When a size-1
+        axis leaves einsum nothing to fuse (batch 1, one output position, or
+        one tap in the forward), einsum hands ``matmul`` strided views of the
+        legacy contiguous columns instead, so those are gathered whole.
         """
-        n, c, h, w = x.shape
+        n = x.shape[0]
         g = self.groups
         length = self.out_hw[0] * self.out_hw[1]
-        k = (c // g) * self.kernel[0] * self.kernel[1]
-        if is_fast_dtype(x) or length == 1:
-            return self.im2col(x).reshape(n, g, k, length)
-        if self.trivial:
-            operand = x.reshape(n, g, k, length).transpose(1, 2, 0, 3)
-            return np.ascontiguousarray(operand).transpose(2, 0, 1, 3)
-        planes = self._source(x, group_major=True).reshape(g, n, -1)
-        # Row (channel, tap), column (sample, position): the forward's
-        # per-sample map plus each sample's offset into its group's planes.
-        offsets = np.arange(n, dtype=np.intp)[:, None] * planes.shape[2]
-        index = (self.matmul_index.T[:, None, :] + offsets).reshape(k, n * length)
-        cols = planes.reshape(g, -1).take(index, axis=1)
-        return cols.reshape(g, k, n, length).transpose(2, 0, 1, 3)
+        k = (x.shape[1] // g) * self.kernel[0] * self.kernel[1]
+        lowering = _bmm_lowering(eq, (n, g, k, length), other.shape)
+        if lowering.pure or lowering.a.shape is None:
+            return _bmm(eq, self.im2col(x).reshape(n, g, k, length), other)
+        other = _prepare(other, lowering.b)
+        other = other.reshape((g,) + other.shape[-2:])  # g = 1: a leading axis
+        rows = k if transposed else n * length
+        product = np.empty((g, rows, other.shape[-1]), dtype=np.result_type(x, other))
+        for g0, g1, block in self.column_blocks(x, transposed):
+            np.matmul(block, other[g0:g1], out=product[g0:g1])
+        return _finish(product, lowering)
 
-    def forward(self, cols: np.ndarray, weight_grouped: np.ndarray) -> np.ndarray:
-        """``(n, g, k, l) x (g, o, k) -> (n, g, o, l)``, float64.
+    def forward(self, x: np.ndarray, weight_grouped: np.ndarray) -> np.ndarray:
+        """Float64 forward ``(n, g, k, l) x (g, o, k) -> (n, g, o, l)`` over ``x``'s columns.
 
         The einsum's strided output view, e.g. NCHW over NHWC memory for
         ``g = 1`` — not a contiguous copy.
         """
-        return _bmm("ngkl,gok->ngol", cols, weight_grouped)
+        return self._contract("ngkl,gok->ngol", x, weight_grouped, transposed=False)
 
-    def grad_weight(self, grad_grouped: np.ndarray, cols_grouped: np.ndarray) -> np.ndarray:
+    def grad_weight(self, grad_grouped: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Weight-gradient contraction ``(n,g,o,l) x (n,g,k,l) -> (g,o,k)``.
 
-        ``cols_grouped`` is :meth:`weight_columns` of the forward input.
+        ``x`` is the forward input: only the weight gradient reads a
+        convolution's columns, so the forward drops them and the backward
+        of a trainable weight gathers them again.
 
         * **float64** — einsum's own matmul over the same operands, so the
           accumulation order (the golden bit-identity contract) is unchanged.
-        * **float32** — per-sample batched ``matmul`` + sum over the batch
-          axis, ~3x faster than the einsum on the depthwise bench geometry
-          (``conv_bwd_weight`` bench key); tolerance-equal, which is the
-          float32 regime's contract.
+        * **float32** — :func:`grad_weight_fast` over the legacy columns.
         """
-        if is_fast_dtype(grad_grouped, cols_grouped):
-            return np.matmul(grad_grouped, np.swapaxes(cols_grouped, -1, -2)).sum(axis=0)
-        return _bmm("ngkl,ngol->gok", cols_grouped, grad_grouped)
+        if is_fast_dtype(grad_grouped, x):
+            cols = self.im2col(x).reshape(grad_grouped.shape[:2] + (-1, grad_grouped.shape[3]))
+            return grad_weight_fast(grad_grouped, cols)
+        return self._contract("ngkl,ngol->gok", x, grad_grouped, transposed=True)
 
     def grad_columns(self, weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:
         """Column gradient ``(g, o, k) x (n, g, o, l) -> (n, g, k, l)``.

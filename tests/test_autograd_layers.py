@@ -242,6 +242,74 @@ class TestOptimizers:
             SGD([Parameter(np.zeros(1))], lr=0.1, nesterov=True)
 
 
+def _reference_sgd_step(opt, params, velocity):
+    """``SGD.step`` as written before its slots were allocated lazily."""
+    for param in params:
+        grad = param.grad
+        if opt.weight_decay > 0.0:
+            grad = grad + opt.weight_decay * param.data
+        buf = velocity.get(id(param), np.zeros_like(param.data))
+        buf = opt.momentum * buf + grad
+        velocity[id(param)] = buf
+        grad = grad + opt.momentum * buf if opt.nesterov else buf
+        param.data -= opt.lr * grad
+
+
+def _reference_adam_step(opt, params, slots, t):
+    """``Adam.step`` as written before its slots were allocated lazily."""
+    for param in params:
+        grad = param.grad
+        if opt.weight_decay > 0.0:
+            grad = grad + opt.weight_decay * param.data
+        m = slots.get(("m", id(param)), np.zeros_like(param.data))
+        v = slots.get(("v", id(param)), np.zeros_like(param.data))
+        m = opt.beta1 * m + (1 - opt.beta1) * grad
+        v = opt.beta2 * v + (1 - opt.beta2) * grad * grad
+        slots[("m", id(param))] = m
+        slots[("v", id(param))] = v
+        m_hat = m / (1 - opt.beta1**t)
+        v_hat = v / (1 - opt.beta2**t)
+        param.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda params: SGD(params, lr=0.05, momentum=0.9, nesterov=True, weight_decay=1e-3),
+        lambda params: SGD(params, lr=0.05, momentum=0.9),
+        lambda params: Adam(params, lr=0.01, weight_decay=1e-3),
+        lambda params: Adam(params, lr=0.01),
+    ],
+    ids=["sgd-nesterov-decay", "sgd-momentum", "adam-decay", "adam"],
+)
+def test_optimizer_trajectory_matches_reference_across_a_state_dict_round_trip(factory):
+    """Several steps, a checkpoint round-trip half-way, bit-equal to the reference."""
+    from repro.utils.serialization import decode_state, encode_state
+
+    rng = np.random.default_rng(50)
+    shapes = [(3, 4), (5,), (2, 1, 3)]
+    params = [Parameter(rng.normal(size=shape)) for shape in shapes]
+    twins = [Parameter(param.data.copy()) for param in params]
+    optimizer = factory(params)
+    reference = factory(twins)
+    slots = {}
+    for step in range(1, 7):
+        for param, twin in zip(params, twins):
+            param.grad = rng.normal(size=param.data.shape)
+            twin.grad = param.grad.copy()
+        optimizer.step()
+        if isinstance(reference, Adam):
+            _reference_adam_step(reference, twins, slots, step)
+        else:
+            _reference_sgd_step(reference, twins, slots)
+        for param, twin in zip(params, twins):
+            assert np.array_equal(param.data, twin.data)
+        if step == 3:
+            state = decode_state(encode_state(optimizer.state_dict()))
+            optimizer = factory(params)
+            optimizer.load_state_dict(state)
+
+
 class TestSchedulers:
     def test_cosine_endpoints(self):
         optimizer = SGD([Parameter(np.zeros(1))], lr=1.0)

@@ -9,10 +9,14 @@ the search space actually uses (kernel x stride x padding x groups,
 including the height-1 sequence-task shapes) and assert exact equality of
 activations and every gradient; float32 runs the same graphs and is checked
 to tolerance.  A conv node keeps its input, not its columns: the weight
-gradient gathers them again (``TestWeightColumns``).
+gradient gathers them again (``TestWeightColumns``).  The float64
+contractions gather and contract a block of groups at a time; forcing tiny
+blocks must not change a bit (``TestBlockedLowering``).
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +54,7 @@ PARITY_GRID = [
 # Edge geometries of the float64 parity test, as (input NCHW, kernel, stride,
 # padding, groups, out channels, bias).  Where a size-1 axis leaves einsum
 # nothing to fuse, it hands matmul strided views instead of copies, so these
-# pin the layout rule of ``ConvPlan.fuses_columns``.
+# pin the layout rule of ``ConvPlan._contract``.
 EDGE_GRID = [
     ((1, 6, 8, 8), (3, 3), (1, 1), (1, 1), 6, 6, False),  # batch 1, depthwise
     ((1, 3, 8, 8), (3, 3), (1, 1), (1, 1), 1, 4, False),  # batch 1, dense
@@ -161,19 +165,24 @@ def test_col2im_outer_matches_materialised_fold():
         assert np.array_equal(plan.col2im_outer(weight, grad), plan.col2im(explicit))
 
 
+def _legacy_columns(x, plan):
+    """The legacy im2col columns of ``x`` as logical ``(n, g, k, l)``."""
+    cols, _ = conv_reference.im2col(x, plan.kernel, plan.stride, plan.padding)
+    return cols.reshape(x.shape[0], plan.groups, -1, plan.out_hw[0] * plan.out_hw[1])
+
+
 def test_grad_weight_float64_bit_identical_to_einsum():
     """The plan-tier weight gradient rounds exactly as the legacy einsum at float64."""
     rng = np.random.default_rng(12)
     for shape, kernel, stride, padding, groups in PARITY_GRID:
         n, cin = shape[0], shape[1]
         cout = cin if groups == cin else 2 * groups
-        plan = get_plan(shape, kernel, stride, padding)
+        plan = get_plan(shape, kernel, stride, padding, groups)
         length = plan.out_hw[0] * plan.out_hw[1]
-        taps = (cin // groups) * kernel[0] * kernel[1]
-        cols = rng.normal(size=(n, groups, taps, length))
+        x = rng.normal(size=shape)
         grad = rng.normal(size=(n, groups, cout // groups, length))
-        reference = np.einsum("ngol,ngkl->gok", grad, cols, optimize=True)
-        assert np.array_equal(plan.grad_weight(grad, cols), reference)
+        reference = np.einsum("ngol,ngkl->gok", grad, _legacy_columns(x, plan), optimize=True)
+        assert np.array_equal(plan.grad_weight(grad, x), reference)
 
 
 def _layouts(array):
@@ -215,12 +224,12 @@ def test_bmm_replays_einsum_on_every_layout(legacy, lowered):
 def test_grad_weight_float32_fast_form_matches_to_tolerance():
     rng = np.random.default_rng(13)
     shape, kernel, stride, padding, groups = (2, 8, 8, 8), (7, 7), (1, 1), (3, 3), 8
-    plan = get_plan(shape, kernel, stride, padding)
+    plan = get_plan(shape, kernel, stride, padding, groups)
     length = plan.out_hw[0] * plan.out_hw[1]
-    cols = rng.normal(size=(2, groups, kernel[0] * kernel[1], length)).astype(np.float32)
+    x = rng.normal(size=shape).astype(np.float32)
     grad = rng.normal(size=(2, groups, 1, length)).astype(np.float32)
-    fast = plan.grad_weight(grad, cols)
-    reference = np.einsum("ngol,ngkl->gok", grad, cols, optimize=True)
+    fast = plan.grad_weight(grad, x)
+    reference = np.einsum("ngol,ngkl->gok", grad, _legacy_columns(x, plan), optimize=True)
     assert fast.dtype == np.float32
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
@@ -329,7 +338,7 @@ class TestWeightColumns:
 
     @pytest.mark.parametrize("shape,kernel,stride,padding,groups", WEIGHT_COLUMN_GRID)
     def test_operand_is_contiguous_gkl_with_the_columns_values(
-        self, shape, kernel, stride, padding, groups
+        self, monkeypatch, shape, kernel, stride, padding, groups
     ):
         rng = np.random.default_rng(30)
         plan = get_plan(shape, kernel, stride, padding, groups)
@@ -337,20 +346,26 @@ class TestWeightColumns:
         length = plan.out_hw[0] * plan.out_hw[1]
         taps = (shape[1] // groups) * kernel[0] * kernel[1]
         cout = 2 * groups
-        # A full batch, then an odd-sized last batch through the same plan.
+        # A full batch, then an odd-sized last batch through the same plan;
+        # one group per block, then the default block.
         for batch in sorted({n, max(1, n - 1)}, reverse=True):
             x = rng.normal(size=(batch,) + shape[1:])
             grad = rng.normal(size=(batch, groups, cout // groups, length))
-            legacy = conv_reference.im2col(x, kernel, stride, padding)[0]
-            reference = np.einsum(
-                "ngol,ngkl->gok", grad, legacy.reshape(batch, groups, taps, length), optimize=True
-            )
-            for layout in (x, _nhwc(x)):
-                cols = plan.weight_columns(layout)
-                assert cols.shape == (batch, groups, taps, length)
-                assert np.array_equal(cols, plan.columns(layout))
-                assert cols.transpose(1, 2, 0, 3).flags.c_contiguous
-                assert np.array_equal(plan.grad_weight(grad, cols), reference)
+            legacy = _legacy_columns(x, plan)
+            reference = np.einsum("ngol,ngkl->gok", grad, legacy, optimize=True)
+            for block_bytes in (1, plans.BLOCK_BYTES):
+                monkeypatch.setattr(plans, "BLOCK_BYTES", block_bytes)
+                for layout in (x, _nhwc(x)):
+                    seen = 0
+                    for g0, g1, block in plan.column_blocks(layout, transposed=True):
+                        assert g0 == seen and g1 > g0
+                        seen = g1
+                        assert block.shape == (g1 - g0, taps, batch * length)
+                        assert block.flags.c_contiguous
+                        expected = legacy[:, g0:g1].transpose(1, 2, 0, 3)
+                        assert np.array_equal(block, expected.reshape(block.shape))
+                    assert seen == groups
+                    assert np.array_equal(plan.grad_weight(grad, layout), reference)
 
     def test_conv_node_holds_no_array_larger_than_its_input(self):
         rng = np.random.default_rng(31)
@@ -374,12 +389,12 @@ class TestWeightColumns:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_frozen_weight_backward_gathers_nothing(self, monkeypatch, dtype):
         calls = []
-        for name in ("im2col", "columns", "weight_columns"):
+        for name in ("im2col", "column_blocks"):
             method = getattr(plans.ConvPlan, name)
 
-            def spy(plan, x, _name=name, _method=method):
+            def spy(plan, *args, _name=name, _method=method, **kwargs):
                 calls.append(_name)
-                return _method(plan, x)
+                return _method(plan, *args, **kwargs)
 
             monkeypatch.setattr(plans.ConvPlan, name, spy)
         rng = np.random.default_rng(32)
@@ -391,7 +406,88 @@ class TestWeightColumns:
                 calls.clear()
                 (out * out).sum().backward()
                 if trainable:
-                    assert calls[0] == "weight_columns"
+                    # float64 gathers the fused operand block by block;
+                    # float32 contracts the legacy columns.
+                    assert calls == ["column_blocks" if dtype == "float64" else "im2col"]
                 else:
                     assert calls == []
                 assert x.grad is not None
+
+
+# Blocked-lowering geometries, as (input NCHW, kernel, stride, padding,
+# groups, out channels): depthwise 3/5/7, strided, (1, k) seq1d kernels, a
+# grouped conv with two outputs per group, the g = 1 stem, a grouped
+# pointwise (trivial) plan and batch 1.
+BLOCKED_GRID = [
+    ((4, 6, 8, 8), (3, 3), (1, 1), (1, 1), 6, 6),
+    ((4, 6, 8, 8), (5, 5), (1, 1), (2, 2), 6, 6),
+    ((4, 6, 8, 8), (7, 7), (1, 1), (3, 3), 6, 6),
+    ((4, 6, 9, 9), (3, 3), (2, 2), (1, 1), 6, 6),
+    ((4, 6, 1, 16), (1, 3), (1, 1), (0, 1), 6, 6),
+    ((4, 6, 1, 16), (1, 5), (1, 2), (0, 2), 6, 6),
+    ((4, 6, 8, 8), (3, 3), (1, 1), (1, 1), 3, 12),
+    ((4, 3, 8, 8), (3, 3), (1, 1), (1, 1), 1, 8),
+    ((4, 12, 4, 4), (1, 1), (1, 1), (0, 0), 6, 12),
+    ((1, 6, 8, 8), (7, 7), (1, 1), (3, 3), 6, 6),
+]
+
+
+class TestBlockedLowering:
+    """The float64 contractions gather and contract a block of groups at a time."""
+
+    @pytest.mark.parametrize(
+        "groups_per_block", [1, 4, None], ids=["one-group", "uneven", "single-block"]
+    )
+    @pytest.mark.parametrize("shape,kernel,stride,padding,groups,cout", BLOCKED_GRID)
+    def test_bit_identical_to_legacy_for_any_block_size(
+        self, monkeypatch, shape, kernel, stride, padding, groups, cout, groups_per_block
+    ):
+        rng = np.random.default_rng(40)
+        w_data = rng.normal(size=(cout, shape[1] // groups) + kernel)
+        # A full batch, then an odd-sized last batch through the same plan.
+        for batch in sorted({shape[0], max(1, shape[0] - 1)}, reverse=True):
+            x_data = rng.normal(size=(batch,) + shape[1:])
+            plan = get_plan(x_data.shape, kernel, stride, padding, groups)
+            length = plan.out_hw[0] * plan.out_hw[1]
+            taps = (shape[1] // groups) * kernel[0] * kernel[1]
+            step = groups if groups_per_block is None else groups_per_block
+            group_bytes = batch * length * taps * x_data.itemsize
+            monkeypatch.setattr(plans, "BLOCK_BYTES", step * group_bytes)
+            legacy_cols = _legacy_columns(x_data, plan)
+            for layout in (x_data, _nhwc(x_data)):
+                bounds = []
+                for g0, g1, block in plan.column_blocks(layout, transposed=False):
+                    bounds.append((g0, g1))
+                    expected = legacy_cols[:, g0:g1].transpose(1, 0, 3, 2)
+                    assert np.array_equal(block, expected.reshape(block.shape))
+                starts = range(0, groups, step)
+                assert bounds == [(g0, min(g0 + step, groups)) for g0 in starts]
+                fast = _run_conv(conv2d, layout, w_data, stride, padding, groups)
+                legacy = _run_conv(conv_reference.conv2d, layout, w_data, stride, padding, groups)
+                for fast_arr, legacy_arr in zip(fast, legacy):
+                    assert np.array_equal(fast_arr, legacy_arr)
+                    assert fast_arr.strides == legacy_arr.strides
+
+    def test_depthwise_7x7_transient_is_a_block_not_the_columns(self):
+        """A 7x7 depthwise conv over 48 channels at batch 32 gathered 36.8 MiB
+        of columns at once; blocked, its forward + backward peak is a few
+        input-sized arrays."""
+        rng = np.random.default_rng(41)
+        x_data = rng.normal(size=(32, 48, 8, 8))
+        w_data = rng.normal(size=(48, 1, 7, 7))
+
+        def step():
+            x = Tensor(x_data, requires_grad=True)
+            weight = Tensor(w_data, requires_grad=True)
+            out = conv2d(x, weight, padding=3, groups=48)
+            out.backward(np.ones_like(out.data))
+            return x.grad, weight.grad
+
+        step()  # build the plan outside the measurement
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20

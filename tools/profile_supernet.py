@@ -19,6 +19,9 @@ Before profiling, one unprofiled step pair runs under ``tracemalloc``; the
 tool prints the graph nodes each step's forward built and each step's
 tracemalloc peak (the memory the step allocated on top of what was already
 live), so a change to the engine's per-node cost shows up in the same run.
+That pass pins the weight step's gates to the largest candidate
+(``mbconv7_e6``) at every position, so its peak is the worst case, the same
+from run to run, instead of whatever a random draw selects.
 
 ``--float32`` profiles the opt-in precision policy (documented in
 docs/performance.md), so its relative cost can be read off directly.
@@ -106,6 +109,14 @@ def main() -> int:
             for _ in range(2)
         ]
 
+        # One-hot gates selecting the largest candidate at every position.
+        largest = [op.name for op in space.candidate_ops].index("mbconv7_e6")
+        largest_gates = Tensor(
+            space.encode_indices([largest] * space.num_searchable).reshape(
+                space.num_searchable, space.num_ops
+            )
+        )
+
         def loss(batch, gates):
             images, labels = batch
             return space.output_head.loss(supernet(images, gates), labels, label_smoothing=0.1)
@@ -132,7 +143,10 @@ def main() -> int:
 
             train_batch, val_batch = batches
             with phase(backward=False):
-                gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
+                if memory is not None:
+                    gates = largest_gates
+                else:
+                    gates = arch_params.sample_gumbel(hard=True, rng=gate_rng).detach()
                 weight_loss = loss(train_batch, gates)
             train("weight", weight_loss, weight_opt)
             with supernet.frozen():
@@ -157,7 +171,8 @@ def main() -> int:
         + (", backward-only" if args.backward_only else "")
     )
     for name, (nodes, peak) in memory.items():
-        print(f"{name} step: {nodes} graph nodes, tracemalloc peak {peak / 2**20:.1f} MiB")
+        gates = " (mbconv7_e6 at every position)" if name == "weight" else ""
+        print(f"{name} step{gates}: {nodes} graph nodes, tracemalloc peak {peak / 2**20:.1f} MiB")
     print(f"graph nodes per step pair: {sum(nodes for nodes, _ in memory.values())}")
     stats.sort_stats(args.sort).print_stats(args.limit)
     if args.output is not None:
