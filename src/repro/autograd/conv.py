@@ -206,9 +206,10 @@ def batchnorm_train_fused(
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
     out_data = x_hat * scale.data + shift.data
+    dtype = out_data.dtype
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=out_data.dtype)
+        grad = np.asarray(grad, dtype=dtype)
         if shift.requires_grad:
             shift._accumulate(grad.sum(axis=axes, keepdims=True).reshape(shift.data.shape))
         if scale.requires_grad:
@@ -241,7 +242,9 @@ def batchnorm2d_train(
     ``(1, C, 1, 1)``.  The expression is kept as the test oracle
     ``tests/batchnorm_reference.py``; this node computes it without the
     graph's 16 nodes and five full-size intermediates, keeping only
-    ``centered`` and ``normalised`` alive until backward.
+    ``centered`` alive until backward: a trainable weight's gradient
+    recomputes ``normalised = centered / std``, the forward's own operation
+    on the same operands, so the same bits.
 
     Bit-identity: the forward makes the graph's operations on the same
     operands, and the backward makes the operations the graph's nodes make,
@@ -280,7 +283,11 @@ def batchnorm2d_train(
             return
         grad = np.ascontiguousarray(grad)
         if weight.requires_grad:
+            # A named operand: numpy would multiply into an unnamed
+            # temporary in place, in its layout instead of the product's.
+            normalised = centered / std
             grad_scale = _unbroadcast(grad * normalised, stat_shape)
+            del normalised
             weight._accumulate(grad_scale.reshape(weight.data.shape))
         if not x.requires_grad:
             return
@@ -309,6 +316,11 @@ def batchnorm2d_train(
 
 class BatchNorm2d(Module):
     """Batch normalisation over the channel dimension of NCHW inputs."""
+
+    # Training mode saves the centred input (float64 node) or ``x_hat``
+    # (float32 closed form); eval mode's graph subtracts the running mean
+    # first, and an add node's backward reads no operand.
+    backward_reads_input = False
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
         super().__init__()

@@ -31,6 +31,9 @@ from repro.utils.seeding import as_rng
 class Identity(Module):
     """Pass-through layer."""
 
+    # No node, so no backward to read anything.
+    backward_reads_input = False
+
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
         return as_tensor(x)
 
@@ -46,9 +49,10 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     out_data = x.data @ weight.data.T
     if bias is not None:
         out_data += bias.data
+    dtype = out_data.dtype
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=out_data.dtype)
+        grad = np.asarray(grad, dtype=dtype)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=0))
         if weight.requires_grad:
@@ -103,6 +107,9 @@ class Linear(Module):
 
 class ReLU(Module):
     """ReLU activation as a module (so it can sit inside a Sequential)."""
+
+    # The backward multiplies by the saved mask.
+    backward_reads_input = False
 
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
         return relu(x)
@@ -183,7 +190,17 @@ class BatchNorm1d(Module):
 
 
 class Sequential(Module):
-    """Chain of modules applied in order."""
+    """Chain of modules applied in order.
+
+    The forward releases each interior output (:meth:`Tensor.release_data`)
+    once the next layer has consumed it, if that layer declares that its
+    backward never reads its input (``backward_reads_input = False``) and
+    the output is a graph node: a conv output feeding ``BatchNorm2d`` and a
+    ``BatchNorm2d`` output feeding ``ReLU`` are dead as soon as the next
+    node has saved what its backward needs.  The chain's input and the
+    final output are never released, nor is an output a layer returned
+    unchanged as its own input.
+    """
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
@@ -208,9 +225,16 @@ class Sequential(Module):
         return self._layers[index]
 
     def forward(self, x: Tensor) -> Tensor:  # noqa: D102
-        out = as_tensor(x)
+        source = out = as_tensor(x)
         for layer in self._layers:
-            out = layer(out)
+            previous, out = out, layer(out)
+            if (
+                not layer.backward_reads_input
+                and previous._backward is not None
+                and previous is not source
+                and out is not previous
+            ):
+                previous.release_data()
         return out
 
 

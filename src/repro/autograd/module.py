@@ -28,6 +28,13 @@ class Parameter(Tensor):
 class Module:
     """Base class for all neural network modules."""
 
+    #: Whether the backward of this module's forward graph reads its input
+    #: tensor's ``data``.  A module whose backward reads only what its own
+    #: nodes saved (a mask, centred activations) sets this to ``False``, and
+    #: :class:`~repro.autograd.layers.Sequential` then releases the array of
+    #: an interior output as soon as this module has consumed it.
+    backward_reads_input: bool = True
+
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()

@@ -18,7 +18,10 @@ cached.  A :class:`ConvPlan` precomputes
   block of groups at a time (:meth:`ConvPlan.column_blocks`).
 * ``scatter_index`` — the padded-plane map expanded over the channel axis.
   col2im becomes one ``np.bincount`` scatter-add per sample instead of a
-  ``kh x kw`` Python loop of strided adds.
+  ``kh x kw`` Python loop of strided adds.  It is ``C`` times the size of
+  the per-plane ``scatter_taps`` it is expanded from, and depthwise
+  backwards never read it (they fold with :meth:`ConvPlan.col2im_outer`),
+  so it is built on the first ``col2im`` call.
 
 The float64 contractions (forward, weight gradient, column gradient) are
 the ``matmul`` calls numpy's ``einsum(optimize=True)`` makes for the legacy
@@ -256,6 +259,7 @@ class ConvPlan:
         "padded_hw",
         "gather_index",
         "matmul_index",
+        "scatter_taps",
         "scatter_index",
         "scatter_bins",
         "trivial",
@@ -291,7 +295,7 @@ class ConvPlan:
         # 1x1/stride-1/pad-0: the gather is the identity permutation, so
         # im2col/col2im are pure reshapes and no index map is built.
         self.trivial = kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
-        self.gather_index = self.matmul_index = self.scatter_index = None
+        self.gather_index = self.matmul_index = self.scatter_taps = self.scatter_index = None
         self.scatter_bins = c * pad_h * pad_w
         if self.trivial:
             return
@@ -309,13 +313,9 @@ class ConvPlan:
         self.matmul_index = np.ascontiguousarray(per_group.transpose(2, 0, 1)).reshape(
             length, group_in * kh * kw
         )
-        # Channel-expanded scatter map over the padded planes: bin (channel,
-        # padded pixel).  The batch axis is handled by a per-sample bincount,
-        # which keeps the index memory O(C * kh * kw * L).
-        padded_taps = ((rows + ph) * pad_w + (cols + pw)).reshape(-1)
-        self.scatter_index = (
-            np.arange(c, dtype=np.intp)[:, None] * (pad_h * pad_w) + padded_taps[None, :]
-        ).reshape(-1)
+        # Every tap's pixel in one padded plane; col2im expands it over the
+        # channels on first use.
+        self.scatter_taps = ((rows + ph) * pad_w + (cols + pw)).reshape(-1)
 
     # ------------------------------------------------------------------
     def _source(self, x: np.ndarray, group_major: bool) -> np.ndarray:
@@ -481,6 +481,13 @@ class ConvPlan:
             return np.ascontiguousarray(cols).reshape(n, c, h, w)
         ph, pw = self.padding
         pad_h, pad_w = self.padded_hw
+        if self.scatter_index is None:
+            # Channel-expanded scatter map over the padded planes: bin
+            # (channel, padded pixel).  The batch axis is handled by a
+            # per-sample bincount, which keeps the index memory O(C * kh * kw * L).
+            self.scatter_index = (
+                np.arange(c, dtype=np.intp)[:, None] * (pad_h * pad_w) + self.scatter_taps[None, :]
+            ).reshape(-1)
         flat_cols = np.ascontiguousarray(cols).reshape(n, -1)
         folded = np.empty((n, self.scatter_bins), dtype=np.float64)
         for sample in range(n):

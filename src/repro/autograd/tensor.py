@@ -146,6 +146,16 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
+    def release_data(self) -> None:
+        """Drop this tensor's array once nothing will read it again.
+
+        ``data`` becomes a read-only, zero-stride NaN view of the same shape
+        and dtype, so ``_accumulate`` still shapes gradients for it while a
+        stray read yields NaN instead of a silent zero.  The graph links
+        (``_parents``, ``_backward``, ``grad``) are untouched.
+        """
+        self.data = np.broadcast_to(np.array(np.nan, dtype=self.data.dtype), self.data.shape)
+
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"

@@ -42,13 +42,16 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
 _NDARRAY_KEY = "__ndarray_b64__"
 _LEGACY_NDARRAY_KEY = "__ndarray__"
 _RNG_KEY = "__np_generator__"
+#: How ``json.dumps`` opens an array record's data string.  Inside a JSON
+#: string a quote is escaped, so these bytes appear only as that dict key.
+_RECORD_OPEN = f'"{_NDARRAY_KEY}": "'.encode("ascii")
 
 
 def json_safe(value: Any) -> Any:
@@ -114,11 +117,11 @@ def save_json(obj: Any, path: Union[str, Path], compact: bool = False) -> Path:
         text = json.dumps(obj, separators=(",", ":"), cls=_NumpyEncoder)
     else:
         text = json.dumps(obj, indent=2, cls=_NumpyEncoder)
-    return _write_atomic(path, text)
+    return _write_atomic(path, [text.encode("utf-8")])
 
 
-def _write_atomic(path: Union[str, Path], text: str) -> Path:
-    """Write ``text`` to ``path`` through a temp file + rename; return the path."""
+def _write_atomic(path: Union[str, Path], chunks: Iterable[bytes]) -> Path:
+    """Write ``chunks`` to ``path`` through a temp file + rename; return the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Per-process *and* per-thread temp name: two sweep workers racing on the
@@ -126,8 +129,9 @@ def _write_atomic(path: Union[str, Path], text: str) -> Path:
     # threads rewriting the browser cache, each rename a complete file into
     # place.
     temporary = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    with temporary.open("w", encoding="utf-8") as handle:
-        handle.write(text)
+    with temporary.open("wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
     temporary.replace(path)
     return path
 
@@ -176,6 +180,15 @@ def restore_rng(
     return into
 
 
+def _b64(array: np.ndarray) -> bytes:
+    """An array's C-order bytes, base64-encoded.
+
+    ``ascontiguousarray`` turns a 0-d array into shape ``(1,)``: the record's
+    shape comes from the original, the bytes from the C-order copy.
+    """
+    return base64.b64encode(np.ascontiguousarray(array))
+
+
 def encode_state(obj: Any) -> Any:
     """Recursively convert a state object into a losslessly JSON-safe form.
 
@@ -184,13 +197,15 @@ def encode_state(obj: Any) -> Any:
     generators become their bit-generator state; numpy scalars become
     Python scalars.  Dict keys must be strings.
     """
+    return _encode(obj, lambda array: _b64(array).decode("ascii"))
+
+
+def _encode(obj: Any, array_data: Callable[[np.ndarray], str]) -> Any:
+    """:func:`encode_state` with each array record's data string from ``array_data``."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.hasobject:
             raise TypeError(f"cannot losslessly encode {obj.dtype} arrays; they have no byte form")
-        # ascontiguousarray turns a 0-d array into shape (1,): the shape is
-        # recorded from the original, the bytes from the C-order copy.
-        data = base64.b64encode(np.ascontiguousarray(obj)).decode("ascii")
-        return {_NDARRAY_KEY: data, "dtype": obj.dtype.str, "shape": list(obj.shape)}
+        return {_NDARRAY_KEY: array_data(obj), "dtype": obj.dtype.str, "shape": list(obj.shape)}
     if isinstance(obj, np.random.Generator):
         return rng_state(obj)
     if isinstance(obj, np.integer):
@@ -203,9 +218,9 @@ def encode_state(obj: Any) -> Any:
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"state dict keys must be strings, got {key!r}")
-        return {key: encode_state(value) for key, value in obj.items()}
+        return {key: _encode(value, array_data) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [encode_state(item) for item in obj]
+        return [_encode(item, array_data) for item in obj]
     if obj is None or isinstance(obj, (str, int, float, bool)):
         return obj
     # Fail here, at the offending value, rather than later inside json.dump
@@ -239,12 +254,36 @@ def decode_state(obj: Any) -> Any:
 def save_checkpoint(state: Any, path: Union[str, Path]) -> Path:
     """Encode ``state`` losslessly and write it to ``path`` as JSON.
 
+    The file is byte-identical to ``json.dumps(encode_state(state))`` but is
+    streamed: one ``json.dumps`` call renders everything except the arrays'
+    data (the C encoder, with every record's data string empty), and each
+    array's base64 bytes go into the file between the pieces of that
+    skeleton, one array at a time.  The skeleton's dict order is the order
+    the arrays were collected in, so the ``n``-th record's data is the
+    ``n``-th array's.  A write therefore holds one array's base64 at a time
+    instead of all of them, the rendered document and its encoded bytes.
+
     The file is written atomically (temp file + rename) so a run killed
-    mid-checkpoint never leaves a truncated checkpoint behind.  One
-    ``json.dumps`` call renders it: the C encoder handles the long base64
-    strings far faster than ``json.dump``'s chunked pure-Python path.
+    mid-checkpoint never leaves a truncated checkpoint behind.
     """
-    return _write_atomic(path, json.dumps(encode_state(state)))
+    arrays: List[np.ndarray] = []
+
+    def defer(array: np.ndarray) -> str:
+        arrays.append(array)
+        return ""
+
+    pieces = json.dumps(_encode(state, defer)).encode("ascii").split(_RECORD_OPEN)
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"state dict key {_NDARRAY_KEY!r} is reserved for array records")
+
+    def chunks() -> Iterator[bytes]:
+        yield pieces[0]
+        for array, piece in zip(arrays, pieces[1:]):
+            yield _RECORD_OPEN
+            yield _b64(array)
+            yield piece
+
+    return _write_atomic(path, chunks())
 
 
 def load_checkpoint(path: Union[str, Path]) -> Any:

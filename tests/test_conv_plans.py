@@ -144,6 +144,24 @@ def test_col2im_scatter_bit_identical_to_loop():
         assert np.array_equal(plan.col2im(cols), expected)
 
 
+def test_scatter_index_is_built_on_first_col2im():
+    """A depthwise forward + backward folds with col2im_outer and builds no
+    channel-expanded scatter map; the first col2im builds it."""
+    rng = np.random.default_rng(12)
+    shape, kernel, padding = (2, 6, 8, 8), (5, 5), (2, 2)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    weight = Tensor(rng.normal(size=(6, 1) + kernel), requires_grad=True)
+    conv2d(x, weight, padding=padding, groups=6).sum().backward()
+    plan = get_plan(shape, kernel, (1, 1), padding, 6)
+    length = plan.out_hw[0] * plan.out_hw[1]
+    assert plan.scatter_index is None
+    assert plan.scatter_taps.shape == (kernel[0] * kernel[1] * length,)
+    cols = rng.normal(size=(shape[0], shape[1] * kernel[0] * kernel[1], length))
+    expected = conv_reference.col2im(cols, shape, kernel, (1, 1), padding, plan.out_hw)
+    assert np.array_equal(plan.col2im(cols), expected)
+    assert plan.scatter_index.shape == (shape[1] * kernel[0] * kernel[1] * length,)
+
+
 def test_col2im_outer_matches_materialised_fold():
     """The fused depthwise fold equals col2im of the explicit outer product,
     including taps that land partly or only in the padding."""

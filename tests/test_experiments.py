@@ -67,6 +67,32 @@ class TestStateSerialization:
         with pytest.raises(TypeError, match="object"):
             encode_state({"bad": np.array([{"a": 1}, None], dtype=object)})
 
+    def test_streamed_checkpoint_is_byte_identical_to_one_dumps(self, tmp_path):
+        """The streamed writer emits exactly ``json.dumps(encode_state(state))``."""
+        grid = np.arange(24.0).reshape(4, 6)
+        rng = np.random.default_rng(4)
+        state = {
+            "steps_completed": 3,
+            "score": float("nan"),
+            "text": 'quote " and \\"__ndarray_b64__\\": "x" — unicode',
+            "empty": {},
+            "nested": [
+                {"w": grid[::2, 1::2], "b": np.array(3.25)},
+                [np.zeros((0, 2)), (1, 2.5, None, True)],
+                [],
+            ],
+            "f32": np.float32(0.5),
+            "fortran": np.asfortranarray(grid).astype(np.float32),
+            "rng": rng,
+        }
+        path = save_checkpoint(state, tmp_path / "state.json")
+        assert path.read_bytes() == json.dumps(encode_state(state)).encode("ascii")
+        assert save_checkpoint({}, tmp_path / "e.json").read_bytes() == b"{}"
+
+    def test_array_record_key_is_reserved(self, tmp_path):
+        with pytest.raises(ValueError, match="reserved"):
+            save_checkpoint({"__ndarray_b64__": "x", "w": np.ones(2)}, tmp_path / "bad.json")
+
     def test_checkpoint_size_stays_binary(self, tmp_path):
         """100k float64 values (800 KB raw) stay within base64's 4/3 overhead.
 

@@ -16,9 +16,12 @@ The quickest way to check where an autograd change moved the bottleneck::
     PYTHONPATH=src python tools/profile_supernet.py --steps 5 --sort cumulative
 
 Before profiling, one unprofiled step pair runs under ``tracemalloc``; the
-tool prints the graph nodes each step's forward built and each step's
-tracemalloc peak (the memory the step allocated on top of what was already
-live), so a change to the engine's per-node cost shows up in the same run.
+tool prints, for each step, the graph nodes its forward built, the bytes
+that graph holds (every interior node's ``.data`` and every array its
+backward closure saved, counted once per owning buffer, leaves' arrays
+excluded) and the step's tracemalloc peak (the memory the step allocated on
+top of what was already live), so a change to the engine's per-node cost
+shows up in the same run.
 That pass pins the weight step's gates to the largest candidate
 (``mbconv7_e6``) at every position, so its peak is the worst case, the same
 from run to run, instead of whatever a random draw selects.
@@ -40,7 +43,7 @@ import pstats
 import sys
 import tracemalloc
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -52,17 +55,46 @@ from repro.autograd.tensor import Tensor  # noqa: E402
 from repro.nas import ArchitectureParameters, SuperNet, build_cifar_search_space  # noqa: E402
 
 
-def graph_nodes(root: Tensor) -> int:
-    """The interior (backward-carrying) nodes of the graph that built ``root``."""
-    count, seen, stack = 0, {id(root)}, [root]
+def _graph(root: Tensor) -> List[Tensor]:
+    """Every tensor of the graph that built ``root``."""
+    seen, stack, nodes = {id(root)}, [root], []
     while stack:
         node = stack.pop()
-        count += node._backward is not None
+        nodes.append(node)
         for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return nodes
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory (a released tensor's: a 0-d NaN)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def graph_memory(root: Tensor) -> Tuple[int, int]:
+    """``(interior nodes, bytes they hold)`` of the graph that built ``root``.
+
+    The bytes are those of every interior node's ``.data`` and every array
+    in its backward closure, counted once per owning buffer; buffers that
+    leaves (parameters, inputs) own are live without the graph, so they are
+    not counted.
+    """
+    nodes = _graph(root)
+    interior = [node for node in nodes if node._backward is not None]
+    leaves = {id(_owner(node.data)) for node in nodes if node._backward is None}
+    held: Dict[int, int] = {}
+    for node in interior:
+        cells = node._backward.__closure__ or ()
+        for value in [node.data] + [cell.cell_contents for cell in cells]:
+            if isinstance(value, np.ndarray):
+                owner = _owner(value)
+                if id(owner) not in leaves:
+                    held[id(owner)] = owner.nbytes
+    return len(interior), sum(held.values())
 
 
 def main() -> int:
@@ -123,22 +155,25 @@ def main() -> int:
 
         profiler = cProfile.Profile()
 
-        def step(profiled: bool, memory: Optional[Dict[str, Tuple[int, int]]] = None) -> None:
-            """One weight + arch step pair; ``memory`` collects (nodes, peak) per step."""
+        def step(
+            profiled: bool, memory: Optional[Dict[str, Tuple[int, int, int]]] = None
+        ) -> None:
+            """One weight + arch step pair; ``memory`` collects (nodes, graph bytes,
+            peak) per step."""
 
             def phase(backward: bool):
                 on = profiled and (backward or not args.backward_only)
                 return profiler if on else contextlib.nullcontext()
 
             def train(name: str, step_loss: Tensor, optimiser) -> None:
-                nodes = graph_nodes(step_loss) if memory is not None else 0
+                nodes, held = graph_memory(step_loss) if memory is not None else (0, 0)
                 with phase(backward=True):
                     arch_opt.zero_grad()
                     weight_opt.zero_grad()
                     step_loss.backward()
                     optimiser.step()
                 if memory is not None:
-                    memory[name] = (nodes, tracemalloc.get_traced_memory()[1])
+                    memory[name] = (nodes, held, tracemalloc.get_traced_memory()[1])
                     tracemalloc.reset_peak()
 
             train_batch, val_batch = batches
@@ -156,7 +191,7 @@ def main() -> int:
                 train("arch", arch_loss, arch_opt)
 
         step(profiled=False)  # warm caches (conv plans, BLAS) outside the profile
-        memory: Dict[str, Tuple[int, int]] = {}
+        memory: Dict[str, Tuple[int, int, int]] = {}
         tracemalloc.start()
         step(profiled=False, memory=memory)
         tracemalloc.stop()
@@ -170,10 +205,13 @@ def main() -> int:
         "gates=hard"
         + (", backward-only" if args.backward_only else "")
     )
-    for name, (nodes, peak) in memory.items():
+    for name, (nodes, held, peak) in memory.items():
         gates = " (mbconv7_e6 at every position)" if name == "weight" else ""
-        print(f"{name} step{gates}: {nodes} graph nodes, tracemalloc peak {peak / 2**20:.1f} MiB")
-    print(f"graph nodes per step pair: {sum(nodes for nodes, _ in memory.values())}")
+        print(
+            f"{name} step{gates}: {nodes} graph nodes holding {held / 2**20:.1f} MiB, "
+            f"tracemalloc peak {peak / 2**20:.1f} MiB"
+        )
+    print(f"graph nodes per step pair: {sum(nodes for nodes, _, _ in memory.values())}")
     stats.sort_stats(args.sort).print_stats(args.limit)
     if args.output is not None:
         stats.dump_stats(str(args.output))
