@@ -4,8 +4,8 @@ Because pytest captures per-test stdout, tables printed inside benchmark
 fixtures would normally be invisible in a quiet run.  ``report`` therefore
 both prints a line and records it; the conftest's ``pytest_terminal_summary``
 hook replays every recorded line at the end of the session and writes them to
-``benchmark_tables.txt`` in the repository root, so the reproduced tables are
-always part of the benchmark output.
+``.benchmarks/benchmark_tables.txt`` (untracked) in the repository root, so
+the reproduced tables are always part of the benchmark output.
 """
 
 from __future__ import annotations

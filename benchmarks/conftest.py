@@ -154,7 +154,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     Benchmark fixtures record their tables through ``bench_utils.report``;
     per-test stdout is captured by pytest, so this hook is what makes the
     reproduced rows visible in a quiet ``pytest benchmarks/ --benchmark-only``
-    run and saves them to ``benchmark_tables.txt`` for later inspection.
+    run and saves them to the untracked ``.benchmarks/benchmark_tables.txt``
+    for later inspection, so a test run leaves the working tree clean.
     """
     from bench_utils import REPORT_LINES
 
@@ -164,9 +165,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line("Reproduced tables and figures (recorded during this run):")
     for line in REPORT_LINES:
         terminalreporter.write_line(line)
-    output_path = os.path.join(os.path.dirname(__file__), "..", "benchmark_tables.txt")
-    with open(os.path.abspath(output_path), "w", encoding="utf-8") as handle:
+    output_dir = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".benchmarks"))
+    os.makedirs(output_dir, exist_ok=True)
+    output_path = os.path.join(output_dir, "benchmark_tables.txt")
+    with open(output_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(REPORT_LINES) + "\n")
-    terminalreporter.write_line(
-        f"(also written to {os.path.abspath(output_path)})"
-    )
+    terminalreporter.write_line(f"(also written to {output_path})")

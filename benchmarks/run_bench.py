@@ -432,13 +432,16 @@ def main() -> int:
     # 9. The serve API (repro.serve over repro.api): a cold HTTP report
     #     (?refresh=1 re-parses every run, rewrites the browser cache and
     #     re-renders the body) against a warm request answered from the
-    #     server's resident report body, and a cold /v1/cost query (clears
-    #     the residency so the CostTable is rebuilt) against a warm
-    #     resident-table lookup.
+    #     server's resident report body; a report miss that only a new
+    #     pending job caused (the full read + render of every result
+    #     against a render from the server's resident result fragments);
+    #     and a cold /v1/cost query (clears the residency so the CostTable
+    #     is rebuilt) against a warm resident-table lookup.
     # ------------------------------------------------------------------
     import http.client
     import threading
 
+    from repro import api
     from repro.serve import create_server
 
     serve_runs_count = 96 if bench_scale() == "small" else 200
@@ -475,6 +478,29 @@ def main() -> int:
             "runs": serve_runs_count,
         }
         print(f"serve_report:         {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
+
+        before = _time(lambda: api.report_document(serve_root).render(), repeats=3)
+        new_jobs = iter(range(serve_runs_count, serve_runs_count + 3))
+
+        def report_miss() -> float:
+            """One GET right after a new pending job appears (the GET alone is timed)."""
+            index = next(new_jobs)
+            save_json(
+                {"method": "dance", "task": "cifar", "backend": "eyeriss", "seed": index},
+                serve_root / f"dance-cifar-seed{index}" / "config.json",
+            )
+            start = time.perf_counter()
+            fetch("/v1/report")
+            return time.perf_counter() - start
+
+        after = min(report_miss() for _ in range(3))
+        results["serve_report_miss"] = {
+            "before_s": before,
+            "after_s": after,
+            "speedup": before / after,
+            "runs": serve_runs_count,
+        }
+        print(f"serve_report_miss:    {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
 
         def cold_cost_query() -> None:
             server.cost_tables.clear()

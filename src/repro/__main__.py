@@ -384,7 +384,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif args.pareto:
                 print(api.pareto_document(**options).render())
             else:
-                print(api.report_document(**options).render())
+                scan = api.report_scan(**options)
+                print(scan.render(scan.fragments()))
         elif args.summary:
             print(runner.format_progress(api.summary_document(**options).to_dict()))
         else:

@@ -18,9 +18,11 @@ stability contract.  This facade defines the contract:
   :func:`submit_job`) are the single implementation both the CLI and the
   server call (``Runner`` keeps only the text renderers).
   :func:`report_document` is :func:`report_scan` followed by
-  :meth:`ReportScan.document`; the server calls the two halves itself so
-  that the scan's key can decide whether its resident report body is
-  still current.
+  :meth:`ReportScan.document`.  The CLI and the server render the report
+  text through :meth:`ReportScan.render` instead, from one
+  :class:`ResultFragment` per run: the server keys its resident report body on
+  the scan's key and keeps the fragments, so that a changed tree re-reads
+  only the results that changed.
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`
@@ -266,7 +268,9 @@ def pareto_records(named_results: Sequence[Tuple[str, Any]]) -> List[Dict[str, A
     over ``(error, EDAP)``; runs without an accuracy
     (``retrain_final=false``) have no error coordinate and are excluded.
     Records are sorted by EDAP, so the surviving points read as the
-    Figure-5 front left to right.
+    Figure-5 front left to right.  Each result needs only ``method``,
+    ``backend_name``, ``accuracy``, ``error`` and ``edap``: a
+    :class:`~repro.core.results.SearchResult` or a :class:`ResultFragment`.
     """
     from repro.hwmodel.metrics import HardwareMetrics, pareto_front
 
@@ -314,6 +318,52 @@ def pareto_document(
     return ParetoDocument(root=str(root), records=json_safe(records))
 
 
+def _nested(text: str, depth: int) -> str:
+    """Re-indent JSON text rendered at the top level to sit ``depth`` levels deep.
+
+    ``json.dumps(indent=2)`` starts every line but the first with two spaces
+    per nesting level, and escapes every newline inside a string, so adding
+    ``2 * depth`` spaces after each newline gives the bytes the nested
+    rendering would.
+    """
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _read_result(path: Path):
+    """The :class:`~repro.core.results.SearchResult` saved at ``path``, or ``None``.
+
+    A run whose file vanishes or is corrupted between the browser scan and
+    this read is skipped rather than crashing the report.
+    """
+    from repro.core.results import SearchResult
+
+    try:
+        return SearchResult.from_dict(load_json(path))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
+        return None
+
+
+@dataclass(frozen=True)
+class ResultFragment:
+    """One run's entry of a report's ``results`` array, rendered once.
+
+    ``text`` is the entry exactly as it appears in the rendered report:
+    ``dumps_strict(result.to_dict())`` re-indented to depth 2.  The other
+    fields are the ones :func:`pareto_records` reads, so a report renders
+    from fragments alone.  ``signature`` is the ``(mtime_ns, size)`` of the
+    ``result.json`` the fragment was read from; a fragment is reused only
+    while the scan still sees that signature.
+    """
+
+    signature: Tuple[int, int]
+    text: str
+    method: str
+    backend_name: str
+    accuracy: Optional[float]
+    error: Optional[float]
+    edap: float
+
+
 @dataclass(frozen=True)
 class ReportScan:
     """The one browse behind a report: the runs it lists and its cache key.
@@ -325,6 +375,12 @@ class ReportScan:
     ``result.json`` was rewritten without its stat signature changing — the
     same trust the browser cache already places in signatures.  The server
     keys its resident ``/v1/report`` body on it (``docs/serve.md``).
+
+    :meth:`render` is the one report renderer: ``report --format json``
+    calls ``scan.render(scan.fragments())``, and the server passes the
+    fragments of its previous render to :meth:`fragments`, so that only
+    new or rewritten results are read.  :meth:`document` builds the same
+    report as plain dicts.
     """
 
     root: Path
@@ -332,41 +388,92 @@ class ReportScan:
     status: Dict[str, Dict[str, Any]]
     key: Tuple[Hashable, ...]
 
+    def _path(self, summary) -> Path:
+        from repro.experiments.runner import RESULT_FILE
+
+        return self.root / summary.name / RESULT_FILE
+
+    def _summary(self, results: int) -> Dict[str, Any]:
+        states: Dict[str, int] = {}
+        for entry in self.status.values():
+            states[entry["state"]] = states.get(entry["state"], 0) + 1
+        return {"results": results, "run_dirs": len(self.status), "states": states}
+
     def document(self) -> ReportDocument:
         """Read each listed ``result.json`` and build the report document.
 
         The browser scan decided *which* runs appear (and served the state
         table from its cache), but the ``results`` array needs the full
         payloads — ``history``, ``op_indices``, the hardware dict — so each
-        listed ``result.json`` is re-read here; a run whose file vanishes or
-        is corrupted between the scan and the read is skipped rather than
-        crashing the dump.
+        listed ``result.json`` is re-read here.
         """
-        from repro.core.results import SearchResult
-        from repro.experiments.runner import RESULT_FILE
-
-        named: List[Tuple[str, SearchResult]] = []
-        for name, summary in self.listed:
-            path = self.root / summary.name / RESULT_FILE
-            try:
-                named.append((name, SearchResult.from_dict(load_json(path))))
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue
-        results = [result for _, result in named]
-        states: Dict[str, int] = {}
-        for entry in self.status.values():
-            states[entry["state"]] = states.get(entry["state"], 0) + 1
+        named = [(name, _read_result(self._path(summary))) for name, summary in self.listed]
+        named = [(name, result) for name, result in named if result is not None]
         return ReportDocument(
             root=str(self.root),
-            results=json_safe([result.to_dict() for result in results]),
+            results=json_safe([result.to_dict() for _, result in named]),
             pareto=json_safe(pareto_records(named)),
             runs=json_safe(self.status),
-            summary={
-                "results": len(results),
-                "run_dirs": len(self.status),
-                "states": states,
-            },
+            summary=self._summary(len(named)),
         )
+
+    def fragments(
+        self, reuse: Optional[Mapping[str, ResultFragment]] = None
+    ) -> Dict[str, ResultFragment]:
+        """The :class:`ResultFragment` of every listed run, keyed by relpath.
+
+        A fragment in ``reuse`` whose signature matches the scan's is kept;
+        every other listed ``result.json`` is read and rendered.  The
+        returned dict is new (``reuse`` is never mutated) and holds only
+        the runs this scan lists.
+        """
+        from repro.experiments.browser.run_summary import RESULT_ARTIFACT
+
+        reuse = reuse or {}
+        fragments: Dict[str, ResultFragment] = {}
+        for _, summary in self.listed:
+            signature = tuple(summary.signature[RESULT_ARTIFACT])
+            fragment = reuse.get(summary.name)
+            if fragment is None or fragment.signature != signature:
+                result = _read_result(self._path(summary))
+                if result is None:
+                    continue
+                fragment = ResultFragment(
+                    signature=signature,
+                    text=_nested(dumps_strict(result.to_dict()), 2),
+                    method=result.method,
+                    backend_name=result.backend_name,
+                    accuracy=result.accuracy,
+                    error=result.error,
+                    edap=result.edap,
+                )
+            fragments[summary.name] = fragment
+        return fragments
+
+    def render(self, fragments: Mapping[str, ResultFragment]) -> str:
+        """The report's JSON text, byte-identical to ``self.document().render()``.
+
+        The results are the listed runs' fragments joined in listing order
+        (a listed run without a fragment had no readable result); the
+        small members are rendered at depth 1.
+        """
+        named = [
+            (name, fragments[summary.name])
+            for name, summary in self.listed
+            if summary.name in fragments
+        ]
+        results = "[]"
+        if named:
+            results = "[\n    " + ",\n    ".join(f.text for _, f in named) + "\n  ]"
+        members = (
+            ("schema_version", json.dumps(SCHEMA_VERSION)),
+            ("root", json.dumps(str(self.root))),
+            ("results", results),
+            ("pareto", _nested(dumps_strict(pareto_records(named)), 1)),
+            ("runs", _nested(dumps_strict(self.status), 1)),
+            ("summary", _nested(dumps_strict(self._summary(len(named))), 1)),
+        )
+        return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in members) + "\n}"
 
 
 def report_scan(
@@ -608,10 +715,11 @@ def job_document(
     """Status of a submitted job — the same shape as :func:`run_document`.
 
     Jobs *are* runs (a queued job is a run directory with only a
-    ``config.json``), so one document serves both; the scan refreshes so a
-    just-submitted job is visible immediately.
+    ``config.json``), so one document serves both.  A just-submitted job is
+    visible without a refresh: the incremental scan parses every directory
+    its cache does not hold, and reuses the rest.
     """
-    return run_document(root, name, lock_ttl=lock_ttl, refresh=True)
+    return run_document(root, name, lock_ttl=lock_ttl)
 
 
 # ----------------------------------------------------------------------
@@ -762,6 +870,7 @@ __all__ = [
     "ParetoDocument",
     "ReportDocument",
     "ReportScan",
+    "ResultFragment",
     "RunDocument",
     "ScheduleDocument",
     "SummaryDocument",

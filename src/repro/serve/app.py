@@ -13,7 +13,8 @@ Design rules:
   (the browser cache writes atomically with per-thread temp names, the
   work queue claims via ``O_EXCL`` locks, resident cost tables build under
   a per-key lock).  The one piece the server itself holds is the resident
-  ``/v1/report`` body, swapped whole by a single attribute assignment.
+  ``/v1/report`` body and the result fragments it was rendered from, each
+  swapped whole by an attribute assignment, never mutated.
 * **Errors are documents too.**  Every non-2xx body is
   ``{"schema_version": ..., "error": ...}`` through the same encoder, and
   unknown names answer with the repository's canonical did-you-mean hints.
@@ -27,7 +28,10 @@ Design rules:
   the last rendered body and its ETag resident, keyed on the request's
   :class:`repro.api.ReportScan` key; a request whose browse yields the same
   key is answered from those bytes without reading, rendering or hashing
-  anything.  ``refresh=1`` and ``cache=0`` always rebuild.
+  anything.  A request whose key differs re-reads and re-renders only the
+  runs whose ``result.json`` signature no resident
+  :class:`repro.api.ResultFragment` carries, then joins the fragments.
+  ``refresh=1`` and ``cache=0`` always rebuild from nothing.
 * **No Nagle stall.**  ``BaseHTTPRequestHandler`` writes the headers and the
   body as two ``send()`` calls; with Nagle's algorithm on, the body would
   wait for the client's delayed ACK of the headers (~40 ms on Linux), so
@@ -91,7 +95,7 @@ def _etag(body: bytes) -> str:
 
 class ReproServer(ThreadingHTTPServer):
     """One thread per request; shared state is the runs dir, the resident cost
-    tables and the resident report body."""
+    tables and the resident report body with its result fragments."""
 
     daemon_threads = True
 
@@ -110,6 +114,8 @@ class ReproServer(ThreadingHTTPServer):
         self.cost_tables = ResidentCostTables()
         #: The resident ``/v1/report`` body: ``(scan key, body, etag)``.
         self._report_body: Optional[Tuple[Hashable, bytes, str]] = None
+        #: The result fragments of the last rendered report, by run relpath.
+        self._fragments: Dict[str, api.ResultFragment] = {}
 
     def report_body(self, options: Mapping[str, Any]) -> Tuple[bytes, str]:
         """The ``/v1/report`` body and ETag for one request's query options.
@@ -117,9 +123,13 @@ class ReproServer(ThreadingHTTPServer):
         Every request browses once (:func:`repro.api.report_scan`).  When the
         scan's key equals the resident one, the stored bytes and tag are the
         answer.  Otherwise the resident body is dropped *before* the new one
-        is rendered — so the process never holds two — and the fresh body
-        replaces it.  ``refresh``/``cache=0`` requests always rebuild, like
-        the ``--refresh``/``--no-cache`` CLI flags they mirror.
+        is rendered — so the process never holds two — and the body is
+        rendered from the resident fragments, reading only the results whose
+        signature changed.  The new fragments and body then replace the old
+        ones; a thread that read the old fragments still holds a complete
+        store, since neither is ever mutated.  ``refresh``/``cache=0``
+        requests always rebuild from nothing, like the
+        ``--refresh``/``--no-cache`` CLI flags they mirror.
         """
         scan = api.report_scan(self.runs_dir, **options)
         resident = self._report_body
@@ -128,9 +138,10 @@ class ReproServer(ThreadingHTTPServer):
             return resident[1], resident[2]
         # Drop the local reference too, or the old body outlives the render.
         resident = self._report_body = None
-        body = _body(scan.document().render())
+        fragments = scan.fragments(self._fragments if reusable else None)
+        body = _body(scan.render(fragments))
         etag = _etag(body)
-        self._report_body = (scan.key, body, etag)
+        self._report_body, self._fragments = (scan.key, body, etag), fragments
         return body, etag
 
     @property

@@ -23,7 +23,7 @@ from repro.experiments.browser import CACHE_FILE
 from repro.experiments.runner import CONFIG_FILE, RESULT_FILE
 from repro.experiments.sweep import LOCK_FILE, SweepPlan
 from repro.serve import create_server
-from repro.utils.serialization import save_json
+from repro.utils.serialization import dumps_strict, save_json
 
 from test_browser import config_payload, make_run, result_payload
 from test_parallel_sweep import TINY_SWEEP, age_file
@@ -267,15 +267,16 @@ class TestRevalidation:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def renders(monkeypatch):
-    """Count ``ReportDocument.render`` calls (server threads included)."""
+    """Count ``ReportScan.render`` calls, the one report renderer (server
+    threads included)."""
     calls = []
-    original = api.ReportDocument.render
+    original = api.ReportScan.render
 
-    def counting(document):
-        calls.append(document.root)
-        return original(document)
+    def counting(scan, fragments):
+        calls.append(scan.root)
+        return original(scan, fragments)
 
-    monkeypatch.setattr(api.ReportDocument, "render", counting)
+    monkeypatch.setattr(api.ReportScan, "render", counting)
     return calls
 
 
@@ -363,6 +364,187 @@ class TestReportBodyCache:
         before = len(renders)
         http_get_raw(live_server, "/v1/report")
         assert len(renders) == before
+
+
+# ----------------------------------------------------------------------
+# The report renderer and the server's result fragments
+# ----------------------------------------------------------------------
+def _edge_tree(root: Path, kind: str) -> dict:
+    """Build one edge-case tree under ``root``; return its report options."""
+    root.mkdir(parents=True)
+    if kind == "pending-only":
+        make_run(root, "job-a", config=config_payload(seed=1))
+        make_run(root, "job-b", config=config_payload(seed=2))
+    elif kind == "one-result":
+        make_run(root, "only-run", result=result_payload(), config=config_payload())
+    elif kind == "nan-accuracy":
+        make_run(root, "a-run", result=result_payload(accuracy=0.4), config=config_payload())
+        make_run(root, "nan-run", result=result_payload(accuracy=float("nan")))
+    elif kind == "non-ascii":
+        make_run(
+            root,
+            'r\u00e9sum\u00e9 "run"',
+            result=result_payload(method='DANCE \u201cw/ FF\u201d "\u00fc"'),
+            config=config_payload(),
+        )
+        make_run(root, "plain-run", result=result_payload(accuracy=0.3))
+    elif kind == "nested":
+        make_run(root, "a-run", result=result_payload(accuracy=0.42), config=config_payload())
+        make_run(root, "a-run-b", result=result_payload(accuracy=0.5))
+        make_run(root, "nested/deep-run", result=result_payload(accuracy=0.9))
+        make_run(root, "nested/deeper/run", result=result_payload(accuracy=0.7))
+    elif kind == "root-is-a-run":
+        make_run(root, ".", result=result_payload(), config=config_payload())
+    elif kind == "filtered":
+        make_run(root, "a-run", result=result_payload(accuracy=0.42), config=config_payload())
+        make_run(
+            root,
+            "b-run",
+            result=result_payload(method="baseline", accuracy=0.6),
+            config=config_payload(method="baseline", seed=1),
+        )
+        make_run(root, "pending-run", config=config_payload(method="baseline", seed=4))
+        return {"filters": {"method": "baseline"}}
+    return {}
+
+
+EDGE_TREES = (
+    "empty",
+    "pending-only",
+    "one-result",
+    "nan-accuracy",
+    "non-ascii",
+    "nested",
+    "root-is-a-run",
+    "filtered",
+)
+
+
+class TestReportRenderer:
+    @pytest.mark.parametrize("kind", EDGE_TREES)
+    def test_every_surface_equals_the_document(self, tmp_path, capsys, kind):
+        root = tmp_path / "runs"
+        options = _edge_tree(root, kind)
+        filters = options.get("filters", {})
+        expected = dumps_strict(api.report_document(root, **options).to_dict()) + "\n"
+
+        scan = api.report_scan(root, **options)
+        assert scan.render(scan.fragments()) + "\n" == expected
+
+        argv = ["--runs-dir", str(root), "report", "--format", "json"]
+        argv += [arg for key, value in filters.items() for arg in ("--filter", f"{key}={value}")]
+        assert cli_stdout(capsys, argv) == expected
+
+        server = create_server(root, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            query = "&".join(f"{key}={value}" for key, value in filters.items())
+            status, body, _ = http_get_raw(server, "/v1/report" + ("?" + query if query else ""))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert (status, body) == (200, expected.encode("utf-8"))
+
+    def test_nan_accuracy_renders_null(self, tmp_path):
+        root = tmp_path / "runs"
+        _edge_tree(root, "nan-accuracy")
+        scan = api.report_scan(root)
+        data = json.loads(scan.render(scan.fragments()))
+        accuracies = {result["accuracy"] for result in data["results"]}
+        assert accuracies == {0.4, None}
+        assert [record["run"] for record in data["pareto"]] == ["a-run"]
+
+    def test_fragments_never_mutate_what_they_reuse(self, runs_root):
+        first = api.report_scan(runs_root).fragments()
+        snapshot = dict(first)
+        (runs_root / "b-run" / RESULT_FILE).unlink()
+        second = api.report_scan(runs_root).fragments(first)
+        assert first == snapshot
+        assert set(second) == {"a-run"}
+        assert second["a-run"] is first["a-run"]
+
+
+@pytest.fixture
+def result_reads(monkeypatch):
+    """The ``result.json`` paths ``repro.api`` reads (server threads included)."""
+    paths = []
+    original = api.load_json
+
+    def counting(path):
+        if Path(path).name == RESULT_FILE:
+            paths.append(Path(path))
+        return original(path)
+
+    monkeypatch.setattr(api, "load_json", counting)
+    return paths
+
+
+class TestResultFragments:
+    def get_report(self, server, root: Path, reads, path="/v1/report"):
+        """``(body, result.json paths the server read)`` of one fresh report."""
+        del reads[:]
+        status, body, _ = http_get_raw(server, path)
+        served = list(reads)
+        assert (status, body) == (200, expected_report(root))
+        return body, served
+
+    def test_miss_after_a_post_reads_no_result(self, live_server, runs_root, result_reads):
+        old, served = self.get_report(live_server, runs_root, result_reads)
+        assert len(served) == 2
+        assert http_post(live_server, "/v1/jobs", tiny_job_payload(seed=9))[0] == 201
+        body, served = self.get_report(live_server, runs_root, result_reads)
+        assert (served, body != old) == ([], True)
+
+    def test_miss_after_a_new_lock_reads_no_result(self, live_server, runs_root, result_reads):
+        self.get_report(live_server, runs_root, result_reads)
+        (runs_root / "pending-run" / LOCK_FILE).write_text('{"token": "w"}', encoding="utf-8")
+        body, served = self.get_report(live_server, runs_root, result_reads)
+        assert served == []
+        assert json.loads(body)["runs"]["pending-run"]["state"] == "running"
+
+    def test_miss_after_one_rewrite_reads_one_result(self, live_server, runs_root, result_reads):
+        self.get_report(live_server, runs_root, result_reads)
+        history = [{"epoch": 0.0, "train_ce": 2.5}, {"epoch": 1.0, "train_ce": 2.0}]
+        rewritten = runs_root / "a-run" / RESULT_FILE
+        save_json(result_payload(accuracy=0.81, history=history), rewritten)
+        body, served = self.get_report(live_server, runs_root, result_reads)
+        assert served == [rewritten]
+        assert json.loads(body)["results"][0]["accuracy"] == 0.81
+
+    def test_deleted_run_leaves_the_store(self, live_server, runs_root, result_reads):
+        import shutil
+
+        self.get_report(live_server, runs_root, result_reads)
+        assert set(live_server._fragments) == {"a-run", "b-run"}
+        shutil.rmtree(runs_root / "b-run")
+        _, served = self.get_report(live_server, runs_root, result_reads)
+        assert (served, set(live_server._fragments)) == ([], {"a-run"})
+
+    def test_refresh_and_no_cache_read_every_result(self, live_server, runs_root, result_reads):
+        self.get_report(live_server, runs_root, result_reads)
+        for path in ("/v1/report?refresh=1", "/v1/report?cache=0"):
+            _, served = self.get_report(live_server, runs_root, result_reads, path)
+            assert len(served) == 2
+
+
+def test_job_submission_parses_only_the_new_run(live_server, runs_root, monkeypatch):
+    from repro.experiments.browser import scanner
+
+    assert http_get(live_server, "/v1/report")[0] == 200  # warms the browser cache
+    parsed = []
+    original = scanner.summarize_run_dir
+
+    def counting(root, relpath, signature):
+        parsed.append(relpath)
+        return original(root, relpath, signature)
+
+    monkeypatch.setattr(scanner, "summarize_run_dir", counting)
+    status, body = http_post(live_server, "/v1/jobs", tiny_job_payload(seed=11))
+    assert status == 201
+    assert parsed == ["baseline-cifar-seed11"]
+    assert json.loads(body)["state"] == "pending"
 
 
 def test_accepted_sockets_disable_nagle(runs_root):

@@ -49,10 +49,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: the server's resident report body) is ratio-gated like every tracked key
 #: and also carries the absolute :data:`KEY_FLOORS` entry below: the warm
 #: side is one browse plus a socket round-trip, so losing the resident body
-#: collapses the ratio to ~1.  ``serve_cost_query`` (resident vs rebuilt
-#: cost table over HTTP) includes per-request socket round-trips on both
-#: sides, so a hard multiple would gate on loopback noise; it gates on
-#: relative regressions only.  ``scheduler_decide`` (cold ASHA coordinator
+#: collapses the ratio to ~1.  ``serve_report_miss`` (the full read + render
+#: of every result vs a ``/v1/report`` miss that only a new pending job
+#: caused) is tracked the same way, with its own floor: losing the server's
+#: resident result fragments collapses it to ~1.  ``serve_cost_query``
+#: (resident vs rebuilt cost table over HTTP) includes per-request socket
+#: round-trips on both sides, so a hard multiple would gate on loopback
+#: noise; it gates on relative regressions only.  ``scheduler_decide`` (cold ASHA coordinator
 #: sync vs warm re-sync on a settled schedule) is cold-vs-warm like the serve
 #: keys — dominated by the browser scan it shares with ``report_scan`` — and
 #: is ratio-gated against its committed baseline.  ``conv_bwd_weight``
@@ -65,6 +68,7 @@ TRACKED_KEYS = frozenset(
         "conv_fwd",
         "conv_bwd_weight",
         "serve_report",
+        "serve_report_miss",
         "serve_cost_query",
         "scheduler_decide",
     }
@@ -80,7 +84,14 @@ TRACKED_KEYS = frozenset(
 #: plan-tier weight gradient whatever the baseline drifts to.
 #: ``serve_report`` must keep a warm ``/v1/report`` at least 10x faster than
 #: a refresh, or the resident report body has stopped being reused.
-KEY_FLOORS = {"report_scan": 10.0, "conv_bwd_weight": 1.5, "serve_report": 10.0}
+#: ``serve_report_miss`` must keep a status-only report miss at least 5x
+#: cheaper than a full read + render, or the fragments stopped being reused.
+KEY_FLOORS = {
+    "report_scan": 10.0,
+    "conv_bwd_weight": 1.5,
+    "serve_report": 10.0,
+    "serve_report_miss": 5.0,
+}
 
 
 def compare(fresh: dict, baseline: dict, min_ratio: float, min_speedup: float) -> list:
