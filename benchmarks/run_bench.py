@@ -436,13 +436,16 @@ def main() -> int:
     #     pending job caused (the full read + render of every result
     #     against a render from the server's resident result fragments);
     #     and a cold /v1/cost query (clears the residency so the CostTable
-    #     is rebuilt) against a warm resident-table lookup.
+    #     is rebuilt) against a warm resident-table lookup; and the strict
+    #     JSON renderer on the tree's full report document (json_safe +
+    #     json.dumps(indent=2) against dumps_strict).
     # ------------------------------------------------------------------
     import http.client
     import threading
 
     from repro import api
     from repro.serve import create_server
+    from repro.utils.serialization import dumps_strict, json_safe
 
     serve_runs_count = 96 if bench_scale() == "small" else 200
     serve_root = Path(tempfile.mkdtemp(prefix="bench_serve_"))
@@ -514,6 +517,26 @@ def main() -> int:
             "speedup": before / after,
         }
         print(f"serve_cost_query:     {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
+
+        # The strict JSON renderer on the tree's full report document: the
+        # nulling copy plus the stdlib's pure-Python indenting encoder
+        # against the one-pass ``dumps_strict`` (byte-identical output).
+        document = api.report_document(serve_root).to_dict()
+
+        def stdlib_render() -> str:
+            return json.dumps(json_safe(document), indent=2, allow_nan=False)
+
+        assert dumps_strict(document) == stdlib_render()
+        before = _time(stdlib_render, repeats=5)
+        after = _time(lambda: dumps_strict(document), repeats=5)
+        results["json_render"] = {
+            "before_s": before,
+            "after_s": after,
+            "speedup": before / after,
+            "runs": serve_runs_count,
+            "bytes": len(stdlib_render()),
+        }
+        print(f"json_render:          {before:8.3f} s -> {after:8.4f} s  ({before/after:7.1f}x)")
     finally:
         if server is not None:
             server.shutdown()

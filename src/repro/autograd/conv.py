@@ -83,17 +83,12 @@ def conv2d(
 
     # One batched contraction over a groups axis replaces the per-group loop;
     # with groups == 1 this degenerates to the plain im2col matmul.  The
-    # float64 forward gathers the columns a block of groups at a time and
-    # keeps none: only a trainable weight's gradient reads them, and it
+    # forward gathers the columns a block of groups at a time and keeps
+    # none: only a trainable weight's gradient reads them, and it
     # gathers them again from ``x``.
     plan = get_plan(x.shape, kernel, stride, padding, groups)
     out_h, out_w = plan.out_hw
-    if is_fast_dtype(weight_grouped, x.data):
-        cols_grouped = plan.im2col(x.data).reshape(n, groups, group_in * kh * kw, out_h * out_w)
-        out = np.matmul(weight_grouped[None], cols_grouped)
-    else:
-        out = plan.forward(x.data, weight_grouped)
-    out_data = out.reshape(n, out_channels, out_h, out_w)
+    out_data = plan.forward(x.data, weight_grouped).reshape(n, out_channels, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
     compute_dtype = out_data.dtype

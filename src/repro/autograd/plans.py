@@ -47,7 +47,8 @@ Three more pieces complete the tier:
   column gradient tap by tap, without materialising it, and skips taps and
   output rows that land only in the padding.
 * **float32** keeps the batched-``matmul`` fast forms over the legacy column
-  layout — tolerance-equal, which is that regime's contract.
+  layout — tolerance-equal, which is that regime's contract — gathered a
+  block of groups at a time too (:meth:`ConvPlan.group_columns`).
 
 Bit-identity: im2col is a pure reordering (no arithmetic), and both folds add
 each pixel's contributions in exactly the (i, j) ascending order of the
@@ -78,7 +79,7 @@ from repro.autograd.precision import is_fast_dtype
 #: resolutions in one process) where old plans are evicted LRU-first.
 MAX_PLANS = 128
 
-#: Bytes of gathered im2col columns the float64 contractions hold at a time
+#: Bytes of gathered im2col columns the contractions hold at a time
 #: (at least one group's): half a 2 MiB L2, so each block is gathered and
 #: contracted in cache instead of streamed out to DRAM and back.
 BLOCK_BYTES = 1 << 20
@@ -346,6 +347,29 @@ class ConvPlan:
         planes = self._source(x, group_major=False).reshape(n, c, -1)
         return planes.take(self.gather_index, axis=2).reshape(n, c * taps, length)
 
+    def group_columns(self, x: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """The legacy ``(n, b, k, l)`` im2col columns of ``x``, a block of groups at a time.
+
+        Yields ``(g0, g1, cols)``: groups ``[g0, g1)``'s slice of
+        ``im2col(x)`` grouped as ``(n, g, k, l)``.  A block holds at most
+        :data:`BLOCK_BYTES` (at least one group), as in :meth:`column_blocks`,
+        so the whole column array is never held.  A trivial plan's columns
+        are a view of ``x``, so they come as one block.
+        """
+        n, c, h, w = x.shape
+        g = self.groups
+        length = self.out_hw[0] * self.out_hw[1]
+        k = (c // g) * self.kernel[0] * self.kernel[1]
+        if self.trivial:
+            yield 0, g, np.ascontiguousarray(x).reshape(n, g, k, length)
+            return
+        step = max(1, BLOCK_BYTES // (n * length * k * x.itemsize))
+        planes = self._source(x, group_major=False).reshape(n, g, c // g, -1)
+        for g0 in range(0, g, step):
+            g1 = min(g0 + step, g)
+            cols = planes[:, g0:g1].take(self.gather_index, axis=3)
+            yield g0, g1, cols.reshape(n, g1 - g0, k, length)
+
     def column_blocks(
         self, x: np.ndarray, transposed: bool
     ) -> Iterator[Tuple[int, int, np.ndarray]]:
@@ -426,11 +450,23 @@ class ConvPlan:
         return _finish(product, lowering)
 
     def forward(self, x: np.ndarray, weight_grouped: np.ndarray) -> np.ndarray:
-        """Float64 forward ``(n, g, k, l) x (g, o, k) -> (n, g, o, l)`` over ``x``'s columns.
+        """Forward ``(g, o, k) x (n, g, k, l) -> (n, g, o, l)`` over ``x``'s columns.
 
-        The einsum's strided output view, e.g. NCHW over NHWC memory for
-        ``g = 1`` — not a contiguous copy.
+        * **float64** — the einsum's strided output view, e.g. NCHW over
+          NHWC memory for ``g = 1`` — not a contiguous copy.
+        * **float32** — batched ``matmul`` over the legacy columns, a block
+          of groups at a time (:meth:`group_columns`), each block writing
+          its slice of the product: the per-sample matmuls of the
+          whole-array call, so blocking changes no result.
         """
+        if is_fast_dtype(weight_grouped, x):
+            n = x.shape[0]
+            g, o = weight_grouped.shape[:2]
+            length = self.out_hw[0] * self.out_hw[1]
+            product = np.empty((n, g, o, length), dtype=np.result_type(weight_grouped, x))
+            for g0, g1, cols in self.group_columns(x):
+                np.matmul(weight_grouped[None, g0:g1], cols, out=product[:, g0:g1])
+            return product
         return self._contract("ngkl,gok->ngol", x, weight_grouped, transposed=False)
 
     def grad_weight(self, grad_grouped: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -442,11 +478,18 @@ class ConvPlan:
 
         * **float64** — einsum's own matmul over the same operands, so the
           accumulation order (the golden bit-identity contract) is unchanged.
-        * **float32** — :func:`grad_weight_fast` over the legacy columns.
+        * **float32** — :func:`grad_weight_fast` over the legacy columns, a
+          block of groups at a time (:meth:`group_columns`).  Each group's
+          per-sample matmuls and batch sum are the ones the whole-array call
+          makes, so blocking changes no result.
         """
         if is_fast_dtype(grad_grouped, x):
-            cols = self.im2col(x).reshape(grad_grouped.shape[:2] + (-1, grad_grouped.shape[3]))
-            return grad_weight_fast(grad_grouped, cols)
+            n, g, o, length = grad_grouped.shape
+            k = (x.shape[1] // g) * self.kernel[0] * self.kernel[1]
+            product = np.empty((g, o, k), dtype=np.result_type(grad_grouped, x))
+            for g0, g1, cols in self.group_columns(x):
+                product[g0:g1] = grad_weight_fast(grad_grouped[:, g0:g1], cols)
+            return product
         return self._contract("ngkl,ngol->gok", x, grad_grouped, transposed=True)
 
     def grad_columns(self, weight_grouped: np.ndarray, grad_grouped: np.ndarray) -> np.ndarray:

@@ -28,13 +28,18 @@ Robustness rules (asserted by ``tests/test_browser.py``):
   sweep worker — can never observe a partially-written cache;
 * a read-only runs directory silently skips the write: caching is an
   optimisation, not a requirement.
+
+A process parses each version of the file once (:meth:`BrowserCache.load`
+keeps what it parsed), so the warm requests of a long-lived ``serve``
+process cost the stat walk, not a re-parse of the cache.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from repro.experiments.browser.run_summary import RunSummary
 from repro.utils.logging import get_logger
@@ -45,6 +50,12 @@ logger = get_logger("experiments.browser.cache")
 #: Bump on any change to the summary record layout or meaning.
 CACHE_VERSION = 3
 CACHE_FILE = ".browser_cache.json"
+
+#: Per cache path, the summaries last parsed from it and the
+#: ``(st_ino, st_mtime_ns, st_size)`` of the file version they came from.
+#: Entries are replaced whole, never mutated: two ``serve`` handler threads
+#: that parse the same version at once store equal summaries.
+_PARSED: Dict[str, Tuple[Tuple[int, int, int], Dict[str, RunSummary]]] = {}
 
 
 class BrowserCache:
@@ -60,10 +71,35 @@ class BrowserCache:
         Unusable means: file missing, unreadable, not valid JSON, not the
         current schema version, or entries that are not a mapping.  Any of
         those yields a cold scan; the file is repaired by the next save.
+
+        The file is parsed once per version: the summaries parsed from it
+        are kept in process, keyed on the open file's ``(st_ino, st_mtime_ns,
+        st_size)``, and a load that finds the same key returns them without
+        reading the file.  Every rewrite renames a new file into place (see
+        :meth:`save`), so it changes the inode.  The returned dict is new;
+        the summaries in it are shared with every other load of the same
+        version and are read-only.
         """
+        key = str(self.path)
         try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            with open(key, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                version = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+                held = _PARSED.get(key)
+                if held is not None and held[0] == version:
+                    return dict(held[1])
+                data = handle.read()
+        except OSError:
+            return {}
+        summaries = self._parse(data)
+        _PARSED[key] = (version, summaries)
+        return dict(summaries)
+
+    def _parse(self, data: bytes) -> Dict[str, RunSummary]:
+        """The summaries of a cache file's bytes (``{}`` when unusable)."""
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
             return {}
         if not isinstance(payload, dict) or payload.get("schema_version") != CACHE_VERSION:
             return {}

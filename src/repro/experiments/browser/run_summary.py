@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from dataclasses import dataclass, field, fields
@@ -168,13 +169,15 @@ class RunSummary:
 
         Everything except the lock comes from the cached summary, so the
         warm path classifies a run — including its checkpoint step — with a
-        single filesystem access.
+        single filesystem access.  The lock path is a plain string: a report
+        classifies every run, and two ``pathlib`` joins per run cost more
+        than the ``stat``.
         """
         from repro.experiments.sweep import classify_state
 
         lock_age: Optional[float] = None
         try:
-            lock_age = time.time() - (root / self.name / LOCK_ARTIFACT).stat().st_mtime
+            lock_age = time.time() - os.stat(f"{root}/{self.name}/{LOCK_ARTIFACT}").st_mtime
         except OSError:
             pass
         return classify_state(

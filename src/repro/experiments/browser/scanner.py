@@ -182,7 +182,7 @@ def status_view(
     status: Dict[str, Dict[str, object]] = {}
     for relpath in sorted(candidates):
         summary = summaries[relpath]
-        state = summary.state(Path(root), lock_ttl)
+        state = summary.state(root, lock_ttl)
         entry: Dict[str, object] = {"state": state}
         if state in ("checkpointed", "running", "stale", "retired", "failed", "corrupt"):
             entry["step"] = summary.checkpoint_step
@@ -235,7 +235,7 @@ def matches_filters(
         elif key == "seed":
             actual = None if summary.seed is None else str(summary.seed)
         elif key == "state":
-            actual = summary.state(Path(root), lock_ttl)
+            actual = summary.state(root, lock_ttl)
         else:  # method: accept the config key or the display name
             if wanted in (summary.method, summary.result_method):
                 continue

@@ -41,6 +41,7 @@ import json
 import math
 import os
 import threading
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
@@ -61,9 +62,8 @@ def json_safe(value: Any) -> Any:
     (invalid per RFC 8259), which non-Python consumers of the machine-
     readable surfaces reject outright.  Accuracy is legitimately NaN for
     ``retrain_final=false`` runs, so this must be handled, not forbidden.
-    Every document that leaves the process as JSON — ``report --format
-    json``, the :mod:`repro.serve` HTTP bodies — runs through this (via
-    :func:`dumps_strict`).
+    The documents of :mod:`repro.api` hold values passed through this;
+    :func:`dumps_strict` applies the same nulling while it renders.
     """
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -74,16 +74,121 @@ def json_safe(value: Any) -> Any:
     return value
 
 
-def dumps_strict(obj: Any, indent: Optional[int] = 2) -> str:
+def dumps_strict(obj: Any) -> str:
     """The one strict-RFC-8259 encoder for JSON that leaves the process.
 
-    Non-finite floats are nulled first; ``allow_nan=False`` then guarantees
-    the emitted document can never contain a bare ``NaN``/``Infinity``
-    token.  The ``repro.api`` documents, the CLI ``--format json`` paths and
-    every ``repro.serve`` response body all render through this function, so
+    The text is ``json.dumps(json_safe(obj), indent=2, allow_nan=False)``,
+    byte for byte, on every value that call accepts, rendered in one pass
+    instead of a nulling copy followed by the stdlib's pure-Python indenting
+    encoder (``json.dumps`` uses its C encoder only without ``indent``):
+
+    * non-finite floats (subclasses such as ``np.float64`` too) render as
+      ``null`` as they are met, so no bare ``NaN``/``Infinity`` token can
+      appear; a non-finite float *key* raises ``ValueError``, as it does
+      under ``allow_nan=False``;
+    * strings and keys are escaped by the stdlib's ``encode_basestring_ascii``
+      (its C implementation when present), ints render as ``int.__repr__``
+      and floats as ``float.__repr__``, so ``IntEnum`` members and
+      ``np.float64`` values render as the numbers they are;
+    * dict keys follow the stdlib's rules: ``str`` as is, ``float``, ``int``,
+      ``bool`` and ``None`` as their JSON text, anything else ``TypeError``;
+    * a value of any other type (a set, ``np.int64``) raises ``TypeError``
+      and a container that contains itself raises ``ValueError``.
+
+    The ``repro.api`` documents, the CLI ``--format json`` paths and every
+    ``repro.serve`` response body all render through this function, so
     server and CLI outputs of the same document are byte-identical.
     """
-    return json.dumps(json_safe(obj), indent=indent, allow_nan=False)
+    return _render(obj, "\n", set())
+
+
+#: ``_quote`` is the string escaper ``json.dumps`` uses under ``ensure_ascii``
+#: (the C one when present); these are the number reprs it writes.
+_int_text = int.__repr__
+_float_text = float.__repr__
+_isfinite = math.isfinite
+
+
+def _scalar_text(value: Any) -> Optional[str]:
+    """The JSON text of a scalar, or ``None`` when ``value`` is not one.
+
+    Checked in the stdlib encoder's order: ``bool`` is an ``int`` subclass.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        return _float_text(value) if _isfinite(value) else "null"
+    return None
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as the quoted JSON string the stdlib encoder writes."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        if not _isfinite(key):
+            raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+        return '"' + _float_text(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + _int_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _render(value: Any, newline: str, open_ids: set) -> str:
+    """The JSON text of ``value`` starting on a line indented as ``newline``.
+
+    ``newline`` is a newline plus that line's indent; ``open_ids`` holds the
+    ids of the containers being rendered, the cycle check.  Items of the
+    exact types ``float``, ``str`` and ``int`` (most of a document) render
+    inline in the container loops; every other item goes through
+    :func:`_scalar_text` or recurses.
+    """
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        return text
+    if not value:
+        return "{}" if is_dict else "[]"
+    marker = id(value)
+    if marker in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(marker)
+    inner = newline + "  "
+    texts: List[str] = []
+    for key, item in value.items() if is_dict else enumerate(value):
+        kind = type(item)
+        if kind is float:
+            text = _float_text(item) if _isfinite(item) else "null"
+        elif kind is str:
+            text = _quote(item)
+        elif kind is int:
+            text = _int_text(item)
+        else:
+            text = _scalar_text(item)
+            if text is None:
+                text = _render(item, inner, open_ids)
+        if is_dict:
+            text = (_quote(key) if type(key) is str else _key_text(key)) + ": " + text
+        texts.append(text)
+    open_ids.discard(marker)
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + ("," + inner).join(texts) + newline + closing
 
 
 class _NumpyEncoder(json.JSONEncoder):

@@ -11,6 +11,7 @@ tiny searches (reusing the fixtures of ``test_parallel_sweep``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 from pathlib import Path
@@ -317,7 +318,7 @@ class TestCache:
         # Poison one cached summary (simulates any stale-cache bug)...
         cache = BrowserCache(tmp_path)
         poisoned = cache.load()
-        poisoned["a-run"].accuracy = 0.999
+        poisoned["a-run"] = dataclasses.replace(poisoned["a-run"], accuracy=0.999)
         cache.save(poisoned)
         assert browse(tmp_path).summaries["a-run"].accuracy == 0.999  # trusted
         # ...and --refresh repairs it from disk.
@@ -378,6 +379,83 @@ class TestCache:
         outcome = browse(tmp_path)  # must not raise
         assert outcome.parsed > 0
         assert not BrowserCache(tmp_path).save(outcome.summaries)
+
+
+@pytest.fixture
+def cache_parses(monkeypatch):
+    """Entries ``BrowserCache.load`` parsed (``RunSummary.from_dict`` calls)."""
+    calls = []
+    original = RunSummary.from_dict
+
+    def counting(data):
+        calls.append(data["name"])
+        return original(data)
+
+    monkeypatch.setattr(RunSummary, "from_dict", staticmethod(counting))
+    return calls
+
+
+def cache_entries(root: Path) -> int:
+    return len(json.loads((root / CACHE_FILE).read_text())["entries"])
+
+
+class TestCacheMemo:
+    """``BrowserCache.load`` parses each version of the cache file once per process."""
+
+    def test_warm_browses_parse_the_cache_once(self, tmp_path, cache_parses):
+        mixed_tree(tmp_path)
+        cold = browse(tmp_path)
+        outcomes = [browse(tmp_path) for _ in range(20)]
+        assert len(cache_parses) == cache_entries(tmp_path)
+        assert all(o.parsed == 0 and o.summaries == cold.summaries for o in outcomes)
+
+    def test_another_writers_rewrite_is_parsed_exactly_once(self, tmp_path, cache_parses):
+        mixed_tree(tmp_path)
+        browse(tmp_path)
+        browse(tmp_path)
+        cache_parses.clear()
+        payload = json.loads((tmp_path / CACHE_FILE).read_text())
+        payload["entries"]["a-run"]["accuracy"] = 0.999
+        save_json(payload, tmp_path / CACHE_FILE, compact=True)
+        outcomes = [browse(tmp_path) for _ in range(5)]
+        assert len(cache_parses) == cache_entries(tmp_path)
+        assert all(o.summaries["a-run"].accuracy == 0.999 for o in outcomes)
+
+    def test_in_place_garbage_write_degrades_to_a_cold_scan(self, tmp_path, cache_parses):
+        mixed_tree(tmp_path)
+        cold = browse(tmp_path)
+        browse(tmp_path)
+        size = (tmp_path / CACHE_FILE).stat().st_size
+        with open(tmp_path / CACHE_FILE, "r+b") as handle:  # same inode
+            handle.write(b"{garbage")
+            handle.truncate(size // 2)
+        cache_parses.clear()
+        outcome = browse(tmp_path)
+        assert cache_parses == []
+        assert outcome.parsed == len(outcome.summaries) == len(cold.summaries)
+        assert browse(tmp_path).parsed == 0  # the cold scan repaired the file
+
+    def test_refresh_and_no_cache_never_read_the_memo(self, tmp_path):
+        from repro.experiments.browser import cache
+
+        mixed_tree(tmp_path)
+        browse(tmp_path)
+        browse(tmp_path)
+        key = str(tmp_path / CACHE_FILE)
+        version, held = cache._PARSED[key]
+        poisoned = dict(held, **{"a-run": dataclasses.replace(held["a-run"], accuracy=0.999)})
+        cache._PARSED[key] = (version, poisoned)
+        assert browse(tmp_path, use_cache=False).summaries["a-run"].accuracy == 0.42
+        assert browse(tmp_path).summaries["a-run"].accuracy == 0.999  # the memo is trusted
+        assert browse(tmp_path, refresh=True).summaries["a-run"].accuracy == 0.42
+
+    def test_loads_return_new_dicts_of_shared_summaries(self, tmp_path):
+        mixed_tree(tmp_path)
+        browse(tmp_path)
+        loads = [BrowserCache(tmp_path).load() for _ in range(3)]
+        assert all(loads[0][name] is loads[2][name] for name in loads[0])
+        loads[1].pop("a-run")  # a caller's edit to its dict reaches no other load
+        assert "a-run" in BrowserCache(tmp_path).load()
 
 
 # ----------------------------------------------------------------------

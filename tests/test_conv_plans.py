@@ -9,9 +9,10 @@ the search space actually uses (kernel x stride x padding x groups,
 including the height-1 sequence-task shapes) and assert exact equality of
 activations and every gradient; float32 runs the same graphs and is checked
 to tolerance.  A conv node keeps its input, not its columns: the weight
-gradient gathers them again (``TestWeightColumns``).  The float64
-contractions gather and contract a block of groups at a time; forcing tiny
-blocks must not change a bit (``TestBlockedLowering``).
+gradient gathers them again (``TestWeightColumns``).  The
+contractions gather and contract a block of groups at a time, at float64
+and at float32; forcing tiny blocks must not change a bit
+(``TestBlockedLowering``).
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ class TestWeightColumns:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_frozen_weight_backward_gathers_nothing(self, monkeypatch, dtype):
         calls = []
-        for name in ("im2col", "column_blocks"):
+        for name in ("im2col", "column_blocks", "group_columns"):
             method = getattr(plans.ConvPlan, name)
 
             def spy(plan, *args, _name=name, _method=method, **kwargs):
@@ -425,8 +426,8 @@ class TestWeightColumns:
                 (out * out).sum().backward()
                 if trainable:
                     # float64 gathers the fused operand block by block;
-                    # float32 contracts the legacy columns.
-                    assert calls == ["column_blocks" if dtype == "float64" else "im2col"]
+                    # float32 the legacy columns, block by block.
+                    assert calls == ["column_blocks" if dtype == "float64" else "group_columns"]
                 else:
                     assert calls == []
                 assert x.grad is not None
@@ -451,7 +452,7 @@ BLOCKED_GRID = [
 
 
 class TestBlockedLowering:
-    """The float64 contractions gather and contract a block of groups at a time."""
+    """The contractions gather and contract a block of groups at a time."""
 
     @pytest.mark.parametrize(
         "groups_per_block", [1, 4, None], ids=["one-group", "uneven", "single-block"]
@@ -486,6 +487,38 @@ class TestBlockedLowering:
                     assert np.array_equal(fast_arr, legacy_arr)
                     assert fast_arr.strides == legacy_arr.strides
 
+    @pytest.mark.parametrize(
+        "groups_per_block", [1, 4, None], ids=["one-group", "uneven", "single-block"]
+    )
+    @pytest.mark.parametrize("shape,kernel,stride,padding,groups,cout", BLOCKED_GRID)
+    def test_float32_blocks_make_the_whole_array_matmuls(
+        self, monkeypatch, shape, kernel, stride, padding, groups, cout, groups_per_block
+    ):
+        """The float32 forward and weight gradient, a block of groups at a
+        time, equal the whole-column batched matmuls bit for bit."""
+        rng = np.random.default_rng(42)
+        x_data = rng.normal(size=shape).astype(np.float32)
+        plan = get_plan(shape, kernel, stride, padding, groups)
+        length = plan.out_hw[0] * plan.out_hw[1]
+        taps = (shape[1] // groups) * kernel[0] * kernel[1]
+        step = groups if groups_per_block is None else groups_per_block
+        monkeypatch.setattr(plans, "BLOCK_BYTES", step * shape[0] * length * taps * 4)
+        weight = rng.normal(size=(groups, cout // groups, taps)).astype(np.float32)
+        grad = rng.normal(size=(shape[0], groups, cout // groups, length)).astype(np.float32)
+        cols = _legacy_columns(x_data, plan)
+        for layout in (x_data, _nhwc(x_data)):
+            bounds = [(g0, g1) for g0, g1, _ in plan.group_columns(layout)]
+            if plan.trivial:  # the columns are a view of x: one block
+                assert bounds == [(0, groups)]
+            else:
+                assert bounds == [(g0, min(g0 + step, groups)) for g0 in range(0, groups, step)]
+            forward = plan.forward(layout, weight)
+            assert forward.dtype == np.float32
+            assert np.array_equal(forward, np.matmul(weight[None], cols))
+            grad_weight = plan.grad_weight(grad, layout)
+            assert grad_weight.dtype == np.float32
+            assert np.array_equal(grad_weight, plans.grad_weight_fast(grad, cols))
+
     def test_depthwise_7x7_transient_is_a_block_not_the_columns(self):
         """A 7x7 depthwise conv over 48 channels at batch 32 gathered 36.8 MiB
         of columns at once; blocked, its forward + backward peak is a few
@@ -509,3 +542,27 @@ class TestBlockedLowering:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_float32_depthwise_7x7_transient_is_a_block_not_the_columns(self):
+        """At float32 the same conv's whole columns are 18.4 MiB; blocked, its
+        forward + backward peak stays under half the float64 fence."""
+        rng = np.random.default_rng(41)
+        x_data = rng.normal(size=(32, 48, 8, 8)).astype(np.float32)
+        w_data = rng.normal(size=(48, 1, 7, 7)).astype(np.float32)
+
+        def step():
+            x = Tensor(x_data, requires_grad=True)
+            weight = Tensor(w_data, requires_grad=True)
+            out = conv2d(x, weight, padding=3, groups=48)
+            out.backward(np.ones_like(out.data))
+            return x.grad, weight.grad
+
+        with use_dtype("float32"):
+            assert step()[1].dtype == np.float32  # and build the plan
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 6 * 2**20

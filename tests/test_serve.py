@@ -23,7 +23,7 @@ from repro.experiments.browser import CACHE_FILE
 from repro.experiments.runner import CONFIG_FILE, RESULT_FILE
 from repro.experiments.sweep import LOCK_FILE, SweepPlan
 from repro.serve import create_server
-from repro.utils.serialization import dumps_strict, save_json
+from repro.utils.serialization import json_safe, save_json
 
 from test_browser import config_payload, make_run, result_payload
 from test_parallel_sweep import TINY_SWEEP, age_file
@@ -426,7 +426,8 @@ class TestReportRenderer:
         root = tmp_path / "runs"
         options = _edge_tree(root, kind)
         filters = options.get("filters", {})
-        expected = dumps_strict(api.report_document(root, **options).to_dict()) + "\n"
+        document = api.report_document(root, **options).to_dict()
+        expected = json.dumps(json_safe(document), indent=2, allow_nan=False) + "\n"
 
         scan = api.report_scan(root, **options)
         assert scan.render(scan.fragments()) + "\n" == expected
@@ -545,6 +546,28 @@ def test_job_submission_parses_only_the_new_run(live_server, runs_root, monkeypa
     assert status == 201
     assert parsed == ["baseline-cifar-seed11"]
     assert json.loads(body)["state"] == "pending"
+
+
+def test_warm_summaries_parse_the_browser_cache_at_most_once(live_server, monkeypatch):
+    from repro.experiments.browser.run_summary import RunSummary
+
+    assert http_get(live_server, "/v1/summary")[0] == 200  # writes the browser cache
+    entries = len(json.loads((live_server.runs_dir / CACHE_FILE).read_text())["entries"])
+    calls = []
+    original = RunSummary.from_dict
+
+    def counting(data):
+        calls.append(data["name"])
+        return original(data)
+
+    monkeypatch.setattr(RunSummary, "from_dict", staticmethod(counting))
+    bodies = {http_get(live_server, "/v1/summary")[1] for _ in range(10)}
+    assert len(bodies) == 1
+    assert len(calls) <= entries  # at most one parse of the cache file
+    calls.clear()
+    for _ in range(5):
+        assert http_get(live_server, "/v1/summary")[0] == 200
+    assert calls == []
 
 
 def test_accepted_sockets_disable_nagle(runs_root):

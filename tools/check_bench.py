@@ -62,6 +62,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: (legacy einsum vs the plan-tier float32 weight-gradient contraction) is
 #: tracked for the ratio but also carries an absolute :data:`KEY_FLOORS`
 #: entry — losing the matmul fast form is the regression it exists to catch.
+#: ``json_render`` (the stdlib's nulling copy + pure-Python indenting encoder
+#: vs the one-pass ``dumps_strict`` on a full report document) is tracked
+#: with an absolute :data:`KEY_FLOORS` entry: both sides are pure Python
+#: whose floor is ``float.__repr__``, so the win is ~2x, not a chasm.
 TRACKED_KEYS = frozenset(
     {
         "supernet_step_float32",
@@ -71,6 +75,7 @@ TRACKED_KEYS = frozenset(
         "serve_report_miss",
         "serve_cost_query",
         "scheduler_decide",
+        "json_render",
     }
 )
 
@@ -86,11 +91,14 @@ TRACKED_KEYS = frozenset(
 #: a refresh, or the resident report body has stopped being reused.
 #: ``serve_report_miss`` must keep a status-only report miss at least 5x
 #: cheaper than a full read + render, or the fragments stopped being reused.
+#: ``json_render`` must keep ``dumps_strict`` at least 1.5x faster than the
+#: stdlib path it replaced, or the one-pass renderer has lost its point.
 KEY_FLOORS = {
     "report_scan": 10.0,
     "conv_bwd_weight": 1.5,
     "serve_report": 10.0,
     "serve_report_miss": 5.0,
+    "json_render": 1.5,
 }
 
 
