@@ -384,8 +384,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif args.pareto:
                 print(api.pareto_document(**options).render())
             else:
+                # The report body is bytes with its trailing newline, the
+                # same bytes `GET /v1/report` sends.
                 scan = api.report_scan(**options)
-                print(scan.render(scan.fragments()))
+                sys.stdout.flush()
+                sys.stdout.buffer.write(scan.render(scan.fragments()))
+                sys.stdout.buffer.flush()
         elif args.summary:
             print(runner.format_progress(api.summary_document(**options).to_dict()))
         else:

@@ -12,17 +12,20 @@ stability contract.  This facade defines the contract:
   (``print(document.render())``) and the :mod:`repro.serve` HTTP server
   (``document.render() + "\\n"``) emit byte-identical JSON for the same
   runs directory — asserted end-to-end by ``tests/test_serve.py`` and the
-  CI serve smoke job;
+  CI serve smoke job.  A document holds its values as built, non-finite
+  floats included: ``render()`` nulls them as it encodes, and
+  ``to_dict()`` returns a nulled copy;
 * builder functions (:func:`report_document`, :func:`pareto_document`,
   :func:`summary_document`, :func:`run_document`, :func:`cost_document`,
   :func:`submit_job`) are the single implementation both the CLI and the
   server call (``Runner`` keeps only the text renderers).
   :func:`report_document` is :func:`report_scan` followed by
   :meth:`ReportScan.document`.  The CLI and the server render the report
-  text through :meth:`ReportScan.render` instead, from one
+  body through :meth:`ReportScan.render` instead, from one
   :class:`ResultFragment` per run: the server keys its resident report body on
   the scan's key and keeps the fragments, so that a changed tree re-reads
-  only the results that changed.
+  only the results that changed.  :func:`run_document` reads the one run
+  directory it names (:func:`repro.experiments.browser.scan_run`).
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`
@@ -58,16 +61,24 @@ class JobConflictError(RuntimeError):
 class _Document:
     """Shared rendering of the versioned response dataclasses."""
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
+        """The document's keys and values as built (non-finite floats kept)."""
         raise NotImplementedError
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The document as plain JSON values: a copy, non-finite floats nulled."""
+        return json_safe(self._members())
 
     def render(self) -> str:
         """The canonical JSON text of this document (no trailing newline).
 
         The CLI prints it (stdout gains the newline from ``print``); the
         server sends ``render() + "\\n"`` — so the two byte streams agree.
+        ``dumps_strict`` nulls non-finite floats as it renders, so the text
+        is ``json.dumps(self.to_dict(), indent=2, allow_nan=False)``
+        without the copy.
         """
-        return dumps_strict(self.to_dict())
+        return dumps_strict(self._members())
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,7 @@ class ReportDocument(_Document):
     runs: Dict[str, Dict[str, Any]]
     summary: Dict[str, Any]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
@@ -98,7 +109,7 @@ class ParetoDocument(_Document):
     root: str
     records: List[Dict[str, Any]]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
@@ -122,7 +133,7 @@ class SummaryDocument(_Document):
     slices: List[Dict[str, Any]]
     scheduler: Optional[Dict[str, Any]] = None
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
@@ -148,7 +159,7 @@ class ScheduleDocument(_Document):
     scheduler: Optional[Dict[str, Any]]
     candidates: List[Dict[str, Any]]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
@@ -176,7 +187,7 @@ class RunDocument(_Document):
     seed: Optional[int]
     result: Optional[Dict[str, Any]]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "root": self.root,
@@ -204,7 +215,7 @@ class CostDocument(_Document):
     layers: List[Dict[str, Any]]
     totals: Dict[str, float]
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _members(self) -> Dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "backend": self.backend,
@@ -228,15 +239,24 @@ def _browse(
     refresh: bool,
     filters: Optional[Mapping[str, str]],
 ):
-    """One incremental-browser scan plus filter slice: ``(root, summaries, ttl)``."""
+    """One incremental-browser scan plus filter slice.
+
+    Returns ``(root, summaries, locked, ttl)``: ``locked`` holds the relpaths
+    whose directory listed a ``LOCK``, the only locks a state needs to stat.
+    """
     from repro.experiments.browser import browse, filter_summaries
-    from repro.experiments.sweep import DEFAULT_LOCK_TTL
 
     root = Path(root)
-    ttl = DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl
+    ttl = _ttl(lock_ttl)
     outcome = browse(root, use_cache=use_cache, refresh=refresh)
-    summaries = filter_summaries(outcome.summaries, filters, root, ttl)
-    return root, summaries, ttl
+    summaries = filter_summaries(outcome.summaries, filters, root, ttl, outcome.locked)
+    return root, summaries, outcome.locked, ttl
+
+
+def _ttl(lock_ttl: Optional[float]) -> float:
+    from repro.experiments.sweep import DEFAULT_LOCK_TTL
+
+    return DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl
 
 
 def run_states(
@@ -249,13 +269,13 @@ def run_states(
     """Queue state of every direct-child run directory (``config.json`` marker).
 
     The facade home of what ``sweep_status`` computes: artefact flags and
-    checkpoint steps come from the mtime-cached summaries, only each run's
-    ``LOCK`` file is statted live.
+    checkpoint steps come from the mtime-cached summaries, only the
+    ``LOCK`` files the scan listed are statted live.
     """
     from repro.experiments.browser import status_view
 
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
-    return status_view(summaries, root, ttl)
+    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
+    return status_view(summaries, root, ttl, locked)
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +333,9 @@ def pareto_document(
     filters: Optional[Mapping[str, str]] = None,
 ) -> ParetoDocument:
     """Pareto records of every finished run under ``root`` (browser-served)."""
-    root, summaries, _ = _browse(root, lock_ttl, use_cache, refresh, filters)
+    root, summaries, _, _ = _browse(root, lock_ttl, use_cache, refresh, filters)
     records = pareto_records(_browsed_named_results(root, summaries))
-    return ParetoDocument(root=str(root), records=json_safe(records))
+    return ParetoDocument(root=str(root), records=records)
 
 
 def _nested(text: str, depth: int) -> str:
@@ -347,8 +367,9 @@ def _read_result(path: Path):
 class ResultFragment:
     """One run's entry of a report's ``results`` array, rendered once.
 
-    ``text`` is the entry exactly as it appears in the rendered report:
-    ``dumps_strict(result.to_dict())`` re-indented to depth 2.  The other
+    ``entry`` is the entry exactly as it appears in the rendered report,
+    encoded as UTF-8: ``dumps_strict(result.to_dict())`` re-indented to
+    depth 2.  The other
     fields are the ones :func:`pareto_records` reads, so a report renders
     from fragments alone.  ``signature`` is the ``(mtime_ns, size)`` of the
     ``result.json`` the fragment was read from; a fragment is reused only
@@ -356,7 +377,7 @@ class ResultFragment:
     """
 
     signature: Tuple[int, int]
-    text: str
+    entry: bytes
     method: str
     backend_name: str
     accuracy: Optional[float]
@@ -377,7 +398,7 @@ class ReportScan:
     keys its resident ``/v1/report`` body on it (``docs/serve.md``).
 
     :meth:`render` is the one report renderer: ``report --format json``
-    calls ``scan.render(scan.fragments())``, and the server passes the
+    writes ``scan.render(scan.fragments())`` to stdout, and the server passes the
     fragments of its previous render to :meth:`fragments`, so that only
     new or rewritten results are read.  :meth:`document` builds the same
     report as plain dicts.
@@ -411,9 +432,9 @@ class ReportScan:
         named = [(name, result) for name, result in named if result is not None]
         return ReportDocument(
             root=str(self.root),
-            results=json_safe([result.to_dict() for _, result in named]),
-            pareto=json_safe(pareto_records(named)),
-            runs=json_safe(self.status),
+            results=[result.to_dict() for _, result in named],
+            pareto=pareto_records(named),
+            runs=self.status,
             summary=self._summary(len(named)),
         )
 
@@ -440,7 +461,7 @@ class ReportScan:
                     continue
                 fragment = ResultFragment(
                     signature=signature,
-                    text=_nested(dumps_strict(result.to_dict()), 2),
+                    entry=_nested(dumps_strict(result.to_dict()), 2).encode("utf-8"),
                     method=result.method,
                     backend_name=result.backend_name,
                     accuracy=result.accuracy,
@@ -450,30 +471,38 @@ class ReportScan:
             fragments[summary.name] = fragment
         return fragments
 
-    def render(self, fragments: Mapping[str, ResultFragment]) -> str:
-        """The report's JSON text, byte-identical to ``self.document().render()``.
+    def render(self, fragments: Mapping[str, ResultFragment]) -> bytes:
+        """The report's response body: ``self.document().render() + "\\n"`` in UTF-8.
 
-        The results are the listed runs' fragments joined in listing order
-        (a listed run without a fragment had no readable result); the
-        small members are rendered at depth 1.
+        One ``bytes`` join of the head, the listed runs' fragments in
+        listing order (a listed run without a fragment had no readable
+        result), the small members rendered at depth 1 and the trailing
+        newline, so a megabyte body is built once, not as text first.  The
+        server hashes and sends these bytes; the CLI writes them to stdout.
         """
         named = [
             (name, fragments[summary.name])
             for name, summary in self.listed
             if summary.name in fragments
         ]
-        results = "[]"
-        if named:
-            results = "[\n    " + ",\n    ".join(f.text for _, f in named) + "\n  ]"
-        members = (
-            ("schema_version", json.dumps(SCHEMA_VERSION)),
-            ("root", json.dumps(str(self.root))),
-            ("results", results),
-            ("pareto", _nested(dumps_strict(pareto_records(named)), 1)),
-            ("runs", _nested(dumps_strict(self.status), 1)),
-            ("summary", _nested(dumps_strict(self._summary(len(named))), 1)),
+        head = (
+            f'{{\n  "schema_version": {SCHEMA_VERSION},\n'
+            f'  "root": {json.dumps(str(self.root))},\n  "results": '
         )
-        return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in members) + "\n}"
+        parts = [head.encode("utf-8")]
+        separator = b"[\n    "
+        for _, fragment in named:
+            parts += (separator, fragment.entry)
+            separator = b",\n    "
+        parts.append(b"\n  ]" if named else b"[]")
+        for key, value in (
+            ("pareto", pareto_records(named)),
+            ("runs", self.status),
+            ("summary", self._summary(len(named))),
+        ):
+            parts.append(f',\n  "{key}": {_nested(dumps_strict(value), 1)}'.encode("utf-8"))
+        parts.append(b"\n}\n")
+        return b"".join(parts)
 
 
 def report_scan(
@@ -487,9 +516,9 @@ def report_scan(
     from repro.experiments.browser import results_view, status_view
     from repro.experiments.browser.run_summary import RESULT_ARTIFACT
 
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
+    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
     listed = results_view(summaries, root)
-    status = status_view(summaries, root, ttl)
+    status = status_view(summaries, root, ttl, locked)
     key = (
         str(root),
         tuple(sorted((filters or {}).items())),
@@ -524,13 +553,13 @@ def summary_document(
     directory the browser discovered at any depth: overall state totals,
     plus a finished/total breakdown per ``(backend, task)`` slice.
     """
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
+    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
     states: Dict[str, int] = {}
     live: Dict[str, str] = {}
     slices: Dict[Tuple[str, str], Dict[str, int]] = {}
     for relpath in sorted(summaries):
         summary = summaries[relpath]
-        state = summary.state(root, ttl)
+        state = summary.state(root, ttl, locked)
         states[state] = states.get(state, 0) + 1
         live[relpath] = state
         key = (summary.backend_label or "?", summary.task or "?")
@@ -572,7 +601,7 @@ def _schedule_overview(
         return None
     if state is None:
         return None
-    return json_safe(schedule_overview(state, live_states))
+    return schedule_overview(state, live_states)
 
 
 def schedule_document(
@@ -584,7 +613,7 @@ def schedule_document(
     """The adaptive-sweep schedule under ``root`` (``GET /v1/sweep/schedule``)."""
     from repro.experiments.schedulers import load_state, candidate_rows, schedule_overview
 
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, None)
+    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, None)
     try:
         state = load_state(root)
     except ValueError:
@@ -592,14 +621,14 @@ def schedule_document(
     if state is None:
         return ScheduleDocument(root=str(root), scheduler=None, candidates=[])
     live = {
-        relpath: summaries[relpath].state(root, ttl)
+        relpath: summaries[relpath].state(root, ttl, locked)
         for relpath in state.candidates
         if relpath in summaries
     }
     return ScheduleDocument(
         root=str(root),
-        scheduler=json_safe(schedule_overview(state, live)),
-        candidates=json_safe(candidate_rows(state, live)),
+        scheduler=schedule_overview(state, live),
+        candidates=candidate_rows(state, live),
     )
 
 
@@ -615,18 +644,30 @@ def run_document(
 ) -> RunDocument:
     """One run's live state plus (when finished) its full result payload.
 
-    Raises :class:`UnknownRunError` — with a closest-match hint — when no
-    run directory of that name exists in the scan.
+    Reads ``<root>/<name>`` alone (:func:`~repro.experiments.browser.scan_run`):
+    its artefacts are statted against the cached summary, which is re-parsed
+    only when they changed (``refresh``/``use_cache=False``: always), and
+    the browser cache file is not written.  A name a full scan would not
+    list — ``..``, an absolute path, an empty component, a symlinked
+    directory — resolves to nothing.  Only then is the whole tree browsed,
+    for the closest-match hint of the :class:`UnknownRunError` it raises.
     """
+    from repro.experiments.browser import BrowserCache, scan_run
     from repro.experiments.runner import RESULT_FILE
 
-    root, summaries, ttl = _browse(root, lock_ttl, use_cache, refresh, None)
+    root, ttl = Path(root), _ttl(lock_ttl)
+    cached = BrowserCache(root).load() if use_cache and not refresh else None
+    outcome = scan_run(root, name, cached)
+    if outcome is not None:
+        summaries, locked = outcome.summaries, outcome.locked
+    else:
+        _, summaries, locked, _ = _browse(root, lock_ttl, use_cache, refresh, None)
     summary = summaries.get(name)
     if summary is None:
         raise UnknownRunError(
             f"unknown run {name!r} under {root}{_did_you_mean(name, summaries)}"
         )
-    state = summary.state(root, ttl)
+    state = summary.state(root, ttl, locked)
     result: Optional[Dict[str, Any]] = None
     if summary.has_result and not summary.corrupt:
         try:
@@ -642,7 +683,7 @@ def run_document(
         task=summary.task,
         backend=summary.backend_label,
         seed=summary.seed,
-        result=json_safe(result),
+        result=result,
     )
 
 
@@ -716,8 +757,8 @@ def job_document(
 
     Jobs *are* runs (a queued job is a run directory with only a
     ``config.json``), so one document serves both.  A just-submitted job is
-    visible without a refresh: the incremental scan parses every directory
-    its cache does not hold, and reuses the rest.
+    visible without a refresh: a directory the cache does not hold is
+    parsed.
     """
     return run_document(root, name, lock_ttl=lock_ttl)
 
@@ -841,17 +882,15 @@ def cost_document(
         task=config.task,
         hw_space=config.hw_space,
         arch=[int(index) for index in indices],
-        config=json_safe(table.backend.config_to_dict(best_config)),
+        config=table.backend.config_to_dict(best_config),
         configs_matched=len(matched),
-        layers=json_safe(layers),
-        totals=json_safe(
-            {
-                "latency_ms": metrics.latency_ms,
-                "energy_mj": metrics.energy_mj,
-                "area_mm2": metrics.area_mm2,
-                "edap": metrics.edap,
-            }
-        ),
+        layers=layers,
+        totals={
+            "latency_ms": metrics.latency_ms,
+            "energy_mj": metrics.energy_mj,
+            "area_mm2": metrics.area_mm2,
+            "edap": metrics.edap,
+        },
     )
 
 

@@ -12,7 +12,8 @@ queue produces.  This package is the read path that scales:
 * :mod:`~repro.experiments.browser.scanner` — a single-pass walk that
   *stats before it parses*: a run is re-read only when the
   ``(mtime_ns, size)`` signature of its artefacts changed.  Queue ``LOCK``
-  files bypass the cache entirely (their state is classified live);
+  files bypass the cache entirely (their state is classified live, from
+  the locks the walk listed); ``scan_run`` does the same for one run;
 * :mod:`~repro.experiments.browser.cache` — the versioned on-disk summary
   cache (``<runs>/.browser_cache.json``), written atomically, invalidated
   by schema version and per-run source signatures.
@@ -35,6 +36,7 @@ from repro.experiments.browser.scanner import (
     parse_filters,
     results_view,
     run_name,
+    scan_run,
     scan_runs,
     status_view,
 )
@@ -52,6 +54,7 @@ __all__ = [
     "parse_filters",
     "results_view",
     "run_name",
+    "scan_run",
     "scan_runs",
     "status_view",
     "summarize_run_dir",

@@ -30,8 +30,10 @@ Robustness rules (asserted by ``tests/test_browser.py``):
   optimisation, not a requirement.
 
 A process parses each version of the file once (:meth:`BrowserCache.load`
-keeps what it parsed), so the warm requests of a long-lived ``serve``
-process cost the stat walk, not a re-parse of the cache.
+keeps what it parsed) and never parses a version it wrote itself
+(:meth:`BrowserCache.save` seeds what it wrote), so the warm requests of a
+long-lived ``serve`` process cost the stat walk, not a re-parse of the
+cache.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Dict, Mapping, Tuple, Union
 
 from repro.experiments.browser.run_summary import RunSummary
 from repro.utils.logging import get_logger
-from repro.utils.serialization import save_json
+from repro.utils.serialization import write_atomic
 
 logger = get_logger("experiments.browser.cache")
 
@@ -51,8 +53,8 @@ logger = get_logger("experiments.browser.cache")
 CACHE_VERSION = 3
 CACHE_FILE = ".browser_cache.json"
 
-#: Per cache path, the summaries last parsed from it and the
-#: ``(st_ino, st_mtime_ns, st_size)`` of the file version they came from.
+#: Per cache path, the summaries last parsed from it or saved to it and the
+#: ``(st_ino, st_mtime_ns, st_size)`` of the file version they belong to.
 #: Entries are replaced whole, never mutated: two ``serve`` handler threads
 #: that parse the same version at once store equal summaries.
 _PARSED: Dict[str, Tuple[Tuple[int, int, int], Dict[str, RunSummary]]] = {}
@@ -73,7 +75,8 @@ class BrowserCache:
         those yields a cold scan; the file is repaired by the next save.
 
         The file is parsed once per version: the summaries parsed from it
-        are kept in process, keyed on the open file's ``(st_ino, st_mtime_ns,
+        (or written to it by this process's :meth:`save`) are kept in
+        process, keyed on the file's ``(st_ino, st_mtime_ns,
         st_size)``, and a load that finds the same key returns them without
         reading the file.  Every rewrite renames a new file into place (see
         :meth:`save`), so it changes the inode.  The returned dict is new;
@@ -125,14 +128,26 @@ class BrowserCache:
 
         Failures (read-only directory, disk full) are logged and swallowed:
         the report that triggered the save still ran from a correct scan.
+
+        A successful save seeds the parse memo with ``summaries``, keyed on
+        the ``fstat`` :func:`write_atomic` took of the written file before
+        its rename, so this process never parses its own write.  A stat of
+        the path after the rename could see another writer's file; the
+        pre-rename key cannot, so that file still gets parsed.  The saved
+        summaries become shared and read-only, like parsed ones.
         """
         payload = {
             "schema_version": CACHE_VERSION,
             "entries": {relpath: summary.to_dict() for relpath, summary in summaries.items()},
         }
+        # Compact: a machine-only file, where parse speed and size matter
+        # more than diffability.
+        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         try:
-            save_json(payload, self.path, compact=True)
+            written = write_atomic(self.path, [data])
         except OSError as error:
             logger.warning("could not write browser cache %s: %s", self.path, error)
             return False
+        version = (written.st_ino, written.st_mtime_ns, written.st_size)
+        _PARSED[str(self.path)] = (version, dict(summaries))
         return True

@@ -10,8 +10,8 @@ changed.  Deliberately **not** part of the record:
 
 * the queue ``LOCK`` file — its mtime is the heartbeat and its
   running-vs-stale meaning depends on the ``lock_ttl`` the *reader* cares
-  about, so lock state is always computed live (one ``stat``) at query
-  time via :meth:`RunSummary.state`;
+  about, so lock state is always computed live at query time via
+  :meth:`RunSummary.state` (one ``stat`` of each lock the scan listed);
 * heavyweight result payloads (``history``, ``op_indices``, the hardware
   field dict) — the summary keeps only the lean fields the tables and
   fronts render, so a thousand-run cache stays a few hundred kilobytes;
@@ -32,7 +32,7 @@ import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Container, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,22 +164,29 @@ class RunSummary:
         return self.backend if self.backend is not None else self.result_backend
 
     # -- queue state -------------------------------------------------------
-    def state(self, root: Path, lock_ttl: float) -> str:
-        """Live queue state of this run (one ``stat`` of the lock file).
+    def state(
+        self, root: Path, lock_ttl: float, locked: Optional[Container[str]] = None
+    ) -> str:
+        """Live queue state of this run (at most one ``stat``, of the lock file).
 
         Everything except the lock comes from the cached summary, so the
         warm path classifies a run — including its checkpoint step — with a
-        single filesystem access.  The lock path is a plain string: a report
-        classifies every run, and two ``pathlib`` joins per run cost more
-        than the ``stat``.
+        single filesystem access.  ``locked`` is the set of relpaths whose
+        directory listing held a ``LOCK`` (``ScanOutcome.locked`` of
+        the scan this summary came from): a run outside it had no lock when
+        its directory was listed, so it is classified without a ``stat``.
+        ``None`` stats the lock regardless.  The lock path is a plain
+        string: a report classifies every run, and two ``pathlib`` joins
+        per run cost more than the ``stat``.
         """
         from repro.experiments.sweep import classify_state
 
         lock_age: Optional[float] = None
-        try:
-            lock_age = time.time() - os.stat(f"{root}/{self.name}/{LOCK_ARTIFACT}").st_mtime
-        except OSError:
-            pass
+        if locked is None or self.name in locked:
+            try:
+                lock_age = time.time() - os.stat(f"{root}/{self.name}/{LOCK_ARTIFACT}").st_mtime
+            except OSError:
+                pass
         return classify_state(
             has_result=self.has_result,
             corrupt=self.corrupt,

@@ -8,8 +8,11 @@ holds a run artefact (``config.json`` / ``result.json`` / ``checkpoint.json``
 opening a single file; only changed, new or uncached runs are re-parsed.
 Queue ``LOCK`` files never enter the signature — their mtime is the
 heartbeat, so a cache keyed on it would invalidate on every step; lock
-state is classified live per query instead (one ``stat``, see
-``RunSummary.state``).
+state is classified live per query instead.  The walk notes which
+directories listed a ``LOCK`` (:attr:`ScanOutcome.locked`), and only those
+locks are statted (one ``stat`` each, see ``RunSummary.state``).
+:func:`scan_run` builds one run's summary the way the walk would, from
+that run's directory alone.
 
 The two report views derive from one scan:
 
@@ -26,10 +29,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from stat import S_ISDIR
+from typing import Container, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.experiments.browser.run_summary import (
     ARTIFACT_SET,
+    LOCK_ARTIFACT,
     RESULT_ARTIFACT,
     RunSummary,
     summarize_run_dir,
@@ -47,55 +52,94 @@ class ScanOutcome:
     parsed: int = 0
     #: Runs served from the cache without touching their artefacts.
     reused: int = 0
+    #: Relpaths of the runs whose directory listing held a ``LOCK``: the
+    #: only runs whose lock :meth:`RunSummary.state` needs to stat.
+    locked: Set[str] = field(default_factory=set)
 
 
-def _discover(root: Path) -> Iterator[Tuple[str, Dict[str, List[int]]]]:
-    """Yield ``(relpath, signature)`` for every run directory under ``root``.
+def _listing(dirpath: str) -> Optional[Tuple[List[str], Dict[str, List[int]], bool]]:
+    """One directory's subdirectories, artefact signature and ``LOCK`` presence.
+
+    ``None`` when the directory cannot be listed.  Artefact stats come
+    straight from the directory entries; files that vanish between the
+    listing and the ``stat`` (mid-scan deletion, or a dangling symlink) are
+    treated as absent.  Directory symlinks are not followed, matching
+    ``os.walk``'s default.
+    """
+    subdirs: List[str] = []
+    found: List[Tuple[str, os.DirEntry]] = []
+    locked = False
+    try:
+        with os.scandir(dirpath) as entries:
+            for entry in entries:
+                # Whatever the entry is: ``RunSummary.state`` stats the path.
+                locked = locked or entry.name == LOCK_ARTIFACT
+                try:
+                    if entry.is_dir(follow_symlinks=False):
+                        subdirs.append(entry.path)
+                        continue
+                except OSError:  # pragma: no cover - raced directory
+                    continue
+                if entry.name in ARTIFACT_SET:
+                    found.append((entry.name, entry))
+    except OSError:
+        return None  # directory vanished mid-scan
+    # Signature key order follows directory order; dict equality (the
+    # cache-invalidation check) is order-independent, so no sort needed.
+    signature: Dict[str, List[int]] = {}
+    for name, entry in found:
+        try:
+            stat = entry.stat()
+        except OSError:
+            continue
+        signature[name] = [stat.st_mtime_ns, stat.st_size]
+    return subdirs, signature, locked
+
+
+def _discover(root: Path) -> Iterator[Tuple[str, Dict[str, List[int]], bool]]:
+    """Yield ``(relpath, signature, locked)`` for every run directory under ``root``.
 
     One recursive ``scandir`` walk (hand-rolled: at thousand-run scale the
     walk *is* the warm path, and ``os.walk`` + per-artefact path joins +
-    ``os.path.relpath`` cost more than the stats themselves).  Artefact
-    stats come straight from the directory entries; files that vanish
-    between the listing and the ``stat`` (mid-scan deletion, or a dangling
-    symlink) are treated as absent.  Directory symlinks are not followed,
-    matching ``os.walk``'s default.
+    ``os.path.relpath`` cost more than the stats themselves), one
+    :func:`_listing` per directory.
     """
     top = str(root)
     prefix_length = len(top if top.endswith(os.sep) else top + os.sep)
     stack = [top]
     while stack:
         dirpath = stack.pop()
-        subdirs: List[str] = []
-        found: List[Tuple[str, os.DirEntry]] = []
-        try:
-            with os.scandir(dirpath) as entries:
-                for entry in entries:
-                    try:
-                        if entry.is_dir(follow_symlinks=False):
-                            subdirs.append(entry.path)
-                            continue
-                    except OSError:  # pragma: no cover - raced directory
-                        continue
-                    if entry.name in ARTIFACT_SET:
-                        found.append((entry.name, entry))
-        except OSError:
-            continue  # directory vanished mid-scan
+        listing = _listing(dirpath)
+        if listing is None:
+            continue
+        subdirs, signature, locked = listing
         # Reverse-sorted so the stack pops subdirectories in name order.
         stack.extend(sorted(subdirs, reverse=True))
-        if not found:
-            continue
-        # Signature key order follows directory order; dict equality (the
-        # cache-invalidation check) is order-independent, so no sort needed.
-        signature: Dict[str, List[int]] = {}
-        for name, entry in found:
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            signature[name] = [stat.st_mtime_ns, stat.st_size]
-        if not signature:
-            continue
-        yield ("." if dirpath == top else dirpath[prefix_length:]), signature
+        if signature:
+            yield ("." if dirpath == top else dirpath[prefix_length:]), signature, locked
+
+
+def _summary(
+    root: Path,
+    relpath: str,
+    signature: Dict[str, List[int]],
+    locked: bool,
+    cached: Mapping[str, RunSummary],
+    outcome: ScanOutcome,
+) -> None:
+    """File one listed run into ``outcome``: reused when its signature matches."""
+    prior = cached.get(relpath)
+    if prior is not None and prior.signature == signature:
+        outcome.summaries[relpath] = prior
+        outcome.reused += 1
+    else:
+        summary = summarize_run_dir(root, relpath, signature)
+        if summary is None:
+            return
+        outcome.summaries[relpath] = summary
+        outcome.parsed += 1
+    if locked:
+        outcome.locked.add(relpath)
 
 
 def scan_runs(
@@ -112,17 +156,45 @@ def scan_runs(
     root = Path(root)
     outcome = ScanOutcome(root=root)
     cached = cached or {}
-    for relpath, signature in _discover(root):
-        prior = cached.get(relpath)
-        if prior is not None and prior.signature == signature:
-            outcome.summaries[relpath] = prior
-            outcome.reused += 1
-            continue
-        summary = summarize_run_dir(root, relpath, signature)
-        if summary is not None:
-            outcome.summaries[relpath] = summary
-            outcome.parsed += 1
+    for relpath, signature, locked in _discover(root):
+        _summary(root, relpath, signature, locked, cached, outcome)
     return outcome
+
+
+def scan_run(
+    root: Path,
+    relpath: str,
+    cached: Optional[Mapping[str, RunSummary]] = None,
+) -> Optional[ScanOutcome]:
+    """:func:`scan_runs` restricted to the one directory ``<root>/<relpath>``.
+
+    The outcome holds that run alone, built exactly as a full scan would
+    build it, or is ``None`` when a full scan would not list ``relpath``.
+    Only ``"."`` and paths of real directories below ``root`` are listed:
+    each component is checked with ``lstat``, and an empty, ``.`` or
+    ``..`` component, a symlinked one, or a parent that cannot be listed
+    resolves to ``None``.  No other directory is read.
+    """
+    root = Path(root)
+    dirpath = str(root)
+    if relpath != ".":
+        for part in relpath.split("/"):
+            if part in ("", ".", "..") or not os.access(dirpath, os.R_OK):
+                return None
+            dirpath = os.path.join(dirpath, part)
+            try:
+                if not S_ISDIR(os.lstat(dirpath).st_mode):
+                    return None
+            except (OSError, ValueError):  # missing, or no valid file name
+                return None
+    listing = _listing(dirpath)
+    if listing is None:
+        return None
+    _, signature, locked = listing
+    outcome = ScanOutcome(root=root)
+    if signature:
+        _summary(root, relpath, signature, locked, cached or {}, outcome)
+    return outcome if outcome.summaries else None
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +235,10 @@ def results_view(
 
 
 def status_view(
-    summaries: Mapping[str, RunSummary], root: Path, lock_ttl: float
+    summaries: Mapping[str, RunSummary],
+    root: Path,
+    lock_ttl: float,
+    locked: Optional[Container[str]] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Queue state of every direct-child run directory with a ``config.json``.
 
@@ -172,7 +247,8 @@ def status_view(
     (``pathlib`` compares component-wise, so for direct children that is
     plain name order), and in-flight states carry the checkpoint step
     (from the cached summary — the only filesystem access here is one
-    ``stat`` of each lock file).
+    ``stat`` of each lock file the scan listed, see
+    :meth:`RunSummary.state` for ``locked``).
     """
     candidates = [
         relpath
@@ -182,7 +258,7 @@ def status_view(
     status: Dict[str, Dict[str, object]] = {}
     for relpath in sorted(candidates):
         summary = summaries[relpath]
-        state = summary.state(root, lock_ttl)
+        state = summary.state(root, lock_ttl, locked)
         entry: Dict[str, object] = {"state": state}
         if state in ("checkpointed", "running", "stale", "retired", "failed", "corrupt"):
             entry["step"] = summary.checkpoint_step
@@ -219,7 +295,11 @@ def parse_filters(specs) -> Dict[str, str]:
 
 
 def matches_filters(
-    summary: RunSummary, filters: Mapping[str, str], root: Path, lock_ttl: float
+    summary: RunSummary,
+    filters: Mapping[str, str],
+    root: Path,
+    lock_ttl: float,
+    locked: Optional[Container[str]] = None,
 ) -> bool:
     """Whether a summary survives a ``--filter`` slice.
 
@@ -235,7 +315,7 @@ def matches_filters(
         elif key == "seed":
             actual = None if summary.seed is None else str(summary.seed)
         elif key == "state":
-            actual = summary.state(root, lock_ttl)
+            actual = summary.state(root, lock_ttl, locked)
         else:  # method: accept the config key or the display name
             if wanted in (summary.method, summary.result_method):
                 continue
@@ -250,6 +330,7 @@ def filter_summaries(
     filters: Optional[Mapping[str, str]],
     root: Path,
     lock_ttl: float,
+    locked: Optional[Container[str]] = None,
 ) -> Dict[str, RunSummary]:
     """The sub-dict of ``summaries`` surviving ``filters`` (no-op when empty)."""
     if not filters:
@@ -257,5 +338,5 @@ def filter_summaries(
     return {
         relpath: summary
         for relpath, summary in summaries.items()
-        if matches_filters(summary, filters, root, lock_ttl)
+        if matches_filters(summary, filters, root, lock_ttl, locked)
     }

@@ -335,9 +335,10 @@ class Runner:
     ):
         """Scan ``root`` through the summary cache and apply ``--filter`` slices.
 
-        Returns ``(root, summaries)`` — the resolved root path and the
+        Returns ``(root, summaries, locked)`` — the resolved root path, the
         (possibly filtered) relpath-to-:class:`RunSummary` mapping every
-        report surface below is built from.  One call performs at most one
+        report surface below is built from, and the relpaths whose
+        directory listed a ``LOCK``.  One call performs at most one
         directory walk; unchanged runs are served from
         ``<root>/.browser_cache.json`` without opening their artefacts
         (see ``docs/browser.md``).
@@ -352,8 +353,9 @@ class Runner:
             filters,
             root,
             DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl,
+            outcome.locked,
         )
-        return root, summaries
+        return root, summaries, outcome.locked
 
     # ------------------------------------------------------------------
     # Pareto view (error vs EDAP, Figure-5 style)
@@ -415,7 +417,7 @@ class Runner:
         from repro.experiments.sweep import DEFAULT_LOCK_TTL, format_sweep_status
 
         ttl = DEFAULT_LOCK_TTL if lock_ttl is None else lock_ttl
-        root, summaries = self.browse(
+        root, summaries, locked = self.browse(
             root, use_cache=use_cache, refresh=refresh, filters=filters, lock_ttl=ttl
         )
         named = [
@@ -427,7 +429,7 @@ class Runner:
         if include_pareto:
             report += "\n\n" + self.format_pareto(api.pareto_records(named))
         if include_status:
-            status = status_view(summaries, root, ttl)
+            status = status_view(summaries, root, ttl, locked)
             if any(entry["state"] != "finished" for entry in status.values()):
                 report += "\n\n" + format_sweep_status(status)
         return report

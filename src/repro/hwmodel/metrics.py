@@ -104,23 +104,42 @@ def edap_cost(metrics: HardwareMetrics) -> float:
 _T = TypeVar("_T")
 
 
+#: Pairwise comparisons :func:`pareto_front` holds at once, per comparison
+#: array: it tests a block of rows against every point, so memory stays
+#: bounded however many points there are.
+PARETO_BLOCK_ELEMENTS = 1 << 20
+
+
 def pareto_front(points: Sequence[Tuple[_T, HardwareMetrics]]) -> List[Tuple[_T, HardwareMetrics]]:
     """The (latency, energy, area)-Pareto-optimal subset of ``points``.
 
     Each point is a ``(payload, metrics)`` pair (the payload is typically an
     :class:`~repro.hwmodel.accelerator.AcceleratorConfig`); a point survives
     unless some other point is no worse on all three metrics and strictly
-    better on at least one.
+    better on at least one.  Survivors keep their input order; duplicates
+    all survive (neither is strictly better), and a NaN coordinate makes
+    every comparison on it false, so such a point neither dominates nor is
+    dominated.  Every pair is tested at once, one broadcast ``(rows, n)``
+    comparison per metric for each block of rows (a reduction over a
+    length-3 last axis would cost numpy more than the comparisons).
     """
     if not points:
         return []
     values = np.array(
         [(m.latency_ms, m.energy_mj, m.area_mm2) for _, m in points], dtype=np.float64
     )
-    keep: List[Tuple[_T, HardwareMetrics]] = []
-    for index, (payload, metrics) in enumerate(points):
-        no_worse = (values <= values[index]).all(axis=1)
-        strictly_better = (values < values[index]).any(axis=1)
-        if not (no_worse & strictly_better).any():
-            keep.append((payload, metrics))
-    return keep
+    count = len(values)
+    rows = max(1, PARETO_BLOCK_ELEMENTS // count)
+    dominated = np.empty(count, dtype=bool)
+    for start in range(0, count, rows):
+        block = values[start : start + rows]
+        # [i, j]: point j is no worse than point i on every metric ...
+        no_worse = np.ones((len(block), count), dtype=bool)
+        # ... and better on at least one.
+        better = np.zeros((len(block), count), dtype=bool)
+        for metric in range(3):
+            theirs, ours = values[:, metric], block[:, metric, None]
+            no_worse &= theirs <= ours
+            better |= theirs < ours
+        dominated[start : start + rows] = (no_worse & better).any(axis=1)
+    return [(payload, metrics) for (payload, metrics), lost in zip(points, dominated) if not lost]

@@ -30,8 +30,12 @@ Design rules:
   key is answered from those bytes without reading, rendering or hashing
   anything.  A request whose key differs re-reads and re-renders only the
   runs whose ``result.json`` signature no resident
-  :class:`repro.api.ResultFragment` carries, then joins the fragments.
+  :class:`repro.api.ResultFragment` carries, then joins the fragments'
+  bytes into the body in one pass and hashes it once.
   ``refresh=1`` and ``cache=0`` always rebuild from nothing.
+* **A run is one directory.**  ``/v1/runs/{name}`` and ``/v1/jobs/{name}``
+  read ``<runs>/<name>`` alone (:func:`repro.api.run_document`); only an
+  unknown name browses the tree, for its did-you-mean hint.
 * **No Nagle stall.**  ``BaseHTTPRequestHandler`` writes the headers and the
   body as two ``send()`` calls; with Nagle's algorithm on, the body would
   wait for the client's delayed ACK of the headers (~40 ms on Linux), so
@@ -127,9 +131,10 @@ class ReproServer(ThreadingHTTPServer):
         rendered from the resident fragments, reading only the results whose
         signature changed.  The new fragments and body then replace the old
         ones; a thread that read the old fragments still holds a complete
-        store, since neither is ever mutated.  ``refresh``/``cache=0``
-        requests always rebuild from nothing, like the
-        ``--refresh``/``--no-cache`` CLI flags they mirror.
+        store, since neither is ever mutated.  The body is the ``bytes``
+        :meth:`repro.api.ReportScan.render` joined, hashed as it is.
+        ``refresh``/``cache=0`` requests always rebuild from nothing, like
+        the ``--refresh``/``--no-cache`` CLI flags they mirror.
         """
         scan = api.report_scan(self.runs_dir, **options)
         resident = self._report_body
@@ -139,7 +144,7 @@ class ReproServer(ThreadingHTTPServer):
         # Drop the local reference too, or the old body outlives the render.
         resident = self._report_body = None
         fragments = scan.fragments(self._fragments if reusable else None)
-        body = _body(scan.render(fragments))
+        body = scan.render(fragments)
         etag = _etag(body)
         self._report_body, self._fragments = (scan.key, body, etag), fragments
         return body, etag

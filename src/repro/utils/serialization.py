@@ -208,25 +208,28 @@ class _NumpyEncoder(json.JSONEncoder):
         return super().default(o)
 
 
-def save_json(obj: Any, path: Union[str, Path], compact: bool = False) -> Path:
+def save_json(obj: Any, path: Union[str, Path]) -> Path:
     """Serialise ``obj`` to ``path`` as pretty-printed JSON and return the path.
 
     Written atomically (temp file + rename): the work queue of
     :mod:`repro.experiments.sweep` treats the existence of ``result.json``
     as the run's done marker, so a worker killed mid-write must never leave
-    a truncated file behind.  ``compact=True`` drops the pretty-printing
-    whitespace — used for machine-only files like the results browser's
-    summary cache, where parse speed and size matter more than diffability.
+    a truncated file behind.
     """
-    if compact:
-        text = json.dumps(obj, separators=(",", ":"), cls=_NumpyEncoder)
-    else:
-        text = json.dumps(obj, indent=2, cls=_NumpyEncoder)
-    return _write_atomic(path, [text.encode("utf-8")])
+    text = json.dumps(obj, indent=2, cls=_NumpyEncoder)
+    write_atomic(path, [text.encode("utf-8")])
+    return Path(path)
 
 
-def _write_atomic(path: Union[str, Path], chunks: Iterable[bytes]) -> Path:
-    """Write ``chunks`` to ``path`` through a temp file + rename; return the path."""
+def write_atomic(path: Union[str, Path], chunks: Iterable[bytes]) -> os.stat_result:
+    """Write ``chunks`` to ``path`` through a temp file + rename.
+
+    Returns the ``fstat`` of the written file, taken before the rename: it
+    describes this write's file even when another writer renames its own
+    file into place right after (a ``stat`` of ``path`` could not tell).
+    A rename keeps the inode, mtime and size, so a later ``stat`` of
+    ``path`` that sees this file sees the same three values.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Per-process *and* per-thread temp name: two sweep workers racing on the
@@ -237,8 +240,10 @@ def _write_atomic(path: Union[str, Path], chunks: Iterable[bytes]) -> Path:
     with temporary.open("wb") as handle:
         for chunk in chunks:
             handle.write(chunk)
+        handle.flush()
+        written = os.fstat(handle.fileno())
     temporary.replace(path)
-    return path
+    return written
 
 
 def load_json(path: Union[str, Path]) -> Any:
@@ -388,7 +393,8 @@ def save_checkpoint(state: Any, path: Union[str, Path]) -> Path:
             yield _b64(array)
             yield piece
 
-    return _write_atomic(path, chunks())
+    write_atomic(path, chunks())
+    return Path(path)
 
 
 def load_checkpoint(path: Union[str, Path]) -> Any:

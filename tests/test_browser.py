@@ -372,10 +372,10 @@ class TestCache:
     def test_unwritable_cache_is_nonfatal(self, tmp_path, monkeypatch):
         mixed_tree(tmp_path)
 
-        def refuse(obj, path, compact=False):
+        def refuse(path, chunks):
             raise OSError("read-only filesystem")
 
-        monkeypatch.setattr("repro.experiments.browser.cache.save_json", refuse)
+        monkeypatch.setattr("repro.experiments.browser.cache.write_atomic", refuse)
         outcome = browse(tmp_path)  # must not raise
         assert outcome.parsed > 0
         assert not BrowserCache(tmp_path).save(outcome.summaries)
@@ -402,11 +402,11 @@ def cache_entries(root: Path) -> int:
 class TestCacheMemo:
     """``BrowserCache.load`` parses each version of the cache file once per process."""
 
-    def test_warm_browses_parse_the_cache_once(self, tmp_path, cache_parses):
+    def test_warm_browses_never_parse_the_cache_they_saved(self, tmp_path, cache_parses):
         mixed_tree(tmp_path)
         cold = browse(tmp_path)
         outcomes = [browse(tmp_path) for _ in range(20)]
-        assert len(cache_parses) == cache_entries(tmp_path)
+        assert cache_parses == []
         assert all(o.parsed == 0 and o.summaries == cold.summaries for o in outcomes)
 
     def test_another_writers_rewrite_is_parsed_exactly_once(self, tmp_path, cache_parses):
@@ -416,7 +416,7 @@ class TestCacheMemo:
         cache_parses.clear()
         payload = json.loads((tmp_path / CACHE_FILE).read_text())
         payload["entries"]["a-run"]["accuracy"] = 0.999
-        save_json(payload, tmp_path / CACHE_FILE, compact=True)
+        save_json(payload, tmp_path / CACHE_FILE)
         outcomes = [browse(tmp_path) for _ in range(5)]
         assert len(cache_parses) == cache_entries(tmp_path)
         assert all(o.summaries["a-run"].accuracy == 0.999 for o in outcomes)
@@ -448,6 +448,104 @@ class TestCacheMemo:
         assert browse(tmp_path, use_cache=False).summaries["a-run"].accuracy == 0.42
         assert browse(tmp_path).summaries["a-run"].accuracy == 0.999  # the memo is trusted
         assert browse(tmp_path, refresh=True).summaries["a-run"].accuracy == 0.42
+
+    def test_a_save_seeds_the_memo_with_what_it_wrote(self, tmp_path, cache_parses):
+        from repro.experiments.browser import cache
+
+        mixed_tree(tmp_path)
+        outcome = browse(tmp_path)  # cold: saves the cache
+        path = tmp_path / CACHE_FILE
+        version, seeded = cache._PARSED[str(path)]
+        stat = path.stat()
+        assert version == (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        parsed = BrowserCache(tmp_path)._parse(path.read_bytes())
+        cache_parses.clear()
+        assert {k: v.to_dict() for k, v in seeded.items()} == {
+            k: v.to_dict() for k, v in parsed.items()
+        }
+        loaded = BrowserCache(tmp_path).load()
+        assert cache_parses == []
+        assert all(loaded[name] is outcome.summaries[name] for name in loaded)
+
+    def test_a_write_after_our_save_is_parsed_once(self, tmp_path, cache_parses):
+        mixed_tree(tmp_path)
+        outcome = browse(tmp_path)
+        summaries = dict(outcome.summaries)
+        summaries["a-run"] = dataclasses.replace(summaries["a-run"], accuracy=0.999)
+        assert BrowserCache(tmp_path).save(summaries)  # seeds the memo with 0.999
+        # Another process renames its file into place after our save.
+        payload = json.loads((tmp_path / CACHE_FILE).read_text())
+        payload["entries"]["a-run"]["accuracy"] = 0.5
+        save_json(payload, tmp_path / CACHE_FILE)
+        cache_parses.clear()
+        loads = [BrowserCache(tmp_path).load() for _ in range(3)]
+        assert len(cache_parses) == cache_entries(tmp_path)
+        assert all(load["a-run"].accuracy == 0.5 for load in loads)
+
+    def test_concurrent_saves_never_pair_a_memo_with_another_file(self, tmp_path):
+        """Threads rewrite runs and browse at once while a checker compares
+        the memo with the file on disk: whenever the memo's key is the
+        file's key, its summaries are what that file parses to."""
+        import os
+        import sys
+        import threading
+
+        from repro.experiments.browser import cache
+
+        mixed_tree(tmp_path)
+        browse(tmp_path)
+        path = tmp_path / CACHE_FILE
+        done = threading.Event()
+        errors, mismatches, checks = [], [], []
+
+        def churn(slot: int) -> None:
+            try:
+                for round_number in range(40):
+                    history = [{"epoch": float(epoch)} for epoch in range(round_number + 1)]
+                    accuracy = slot / 10 + round_number / 1000
+                    make_run(tmp_path, f"churn-{slot}", result=result_payload(
+                        accuracy=accuracy, history=history
+                    ))
+                    browse(tmp_path)
+            except Exception as error:  # pragma: no cover - diagnostic only
+                errors.append(error)
+
+        def check() -> None:
+            while not done.is_set():
+                held = cache._PARSED[str(path)]
+                with open(path, "rb") as handle:
+                    stat = os.fstat(handle.fileno())
+                    data = handle.read()
+                if held[0] != (stat.st_ino, stat.st_mtime_ns, stat.st_size):
+                    continue
+                checks.append(1)
+                parsed = BrowserCache(tmp_path)._parse(data)
+                if {k: v.to_dict() for k, v in held[1].items()} != {
+                    k: v.to_dict() for k, v in parsed.items()
+                }:
+                    mismatches.append(held[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            checker = threading.Thread(target=check)
+            threads = [threading.Thread(target=churn, args=(slot,)) for slot in range(3)]
+            checker.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            checker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [checker, *threads])
+        assert (errors, mismatches) == ([], []) and checks
+        warm = browse(tmp_path).summaries
+        cold = scan_runs(tmp_path).summaries
+        assert {k: v.to_dict() for k, v in warm.items()} == {
+            k: v.to_dict() for k, v in cold.items()
+        }
 
     def test_loads_return_new_dicts_of_shared_summaries(self, tmp_path):
         mixed_tree(tmp_path)
@@ -512,6 +610,38 @@ class TestReportParity:
         assert status["chk-run"] == {"state": "stale", "step": 7}
         queue.release("chk-run")
         assert sweep_status(tmp_path, lock_ttl=60)["chk-run"]["state"] == "checkpointed"
+
+    def test_locks_are_statted_only_where_the_scan_listed_one(self, tmp_path, monkeypatch):
+        import os
+
+        mixed_tree(tmp_path)
+        browse(tmp_path)
+        stats = []
+        original = os.stat
+
+        def recording(path, *args, **kwargs):
+            if str(path).endswith(LOCK_FILE):
+                stats.append(str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", recording)
+        surfaces = (
+            lambda: api.report_scan(tmp_path).status,
+            lambda: api.report_scan(tmp_path, filters={"state": "pending"}).status,
+            lambda: api.summary_document(tmp_path).states,
+            lambda: api.run_states(tmp_path),
+        )
+        for surface in surfaces:
+            surface()
+        assert stats == []
+        lock = tmp_path / "pending-run" / LOCK_FILE
+        lock.write_text('{"token": "worker"}', encoding="utf-8")
+        status = api.report_scan(tmp_path).status
+        assert status["pending-run"]["state"] == "running"
+        assert stats == [f"{tmp_path}/pending-run/{LOCK_FILE}"]
+        age_file(lock, 120)
+        assert api.report_scan(tmp_path, lock_ttl=60).status["pending-run"]["state"] == "stale"
+        assert api.summary_document(tmp_path, lock_ttl=60).states["stale"] == 1
 
     def test_warm_state_classification_is_one_stat(self, tmp_path, monkeypatch):
         """Satellite 5: on a warm cache the stale-lock path must not re-open

@@ -8,10 +8,13 @@ the exhaustive generator returns the true optimum of the discretised space.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pareto_reference import pareto_front_reference
 
 from repro.hwmodel import (
     AcceleratorConfig,
@@ -27,8 +30,10 @@ from repro.hwmodel import (
     edap_cost,
     linear_cost,
     make_linear_cost,
+    pareto_front,
     utilization_by_dataflow,
 )
+from repro.hwmodel import metrics as metrics_module
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,35 @@ class TestHardwareMetrics:
         metrics = HardwareMetrics(1.0, 2.0, 3.0)
         assert linear_cost(metrics, 1.0, 1.0, 1.0) == pytest.approx(6.0)
         assert edap_cost(metrics) == pytest.approx(6.0)
+
+
+#: Coordinates that tie, repeat, and compare false (NaN) or past every value (inf).
+_COORDINATE = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, float("inf"), float("nan")]),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+_POINTS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), max_size=40)
+
+
+class TestParetoFront:
+    """The broadcast dominance test against the per-point loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coordinates=_POINTS, block=st.sampled_from([1, 3, 7, 64, 1 << 20]))
+    def test_matches_the_per_point_loop(self, coordinates, block):
+        points = [(index, HardwareMetrics(*xyz)) for index, xyz in enumerate(coordinates)]
+        with mock.patch.object(metrics_module, "PARETO_BLOCK_ELEMENTS", block):
+            front = pareto_front(points)
+        expected = pareto_front_reference(points)
+        assert [index for index, _ in front] == [index for index, _ in expected]
+        assert all(a is c and b is d for (a, b), (c, d) in zip(front, expected))
+
+    def test_ties_duplicates_and_nan(self):
+        nan = float("nan")
+        coordinates = [(1, 1, 1), (1, 1, 1), (1, 1, 2), (0, 2, 1), (nan, 0, 0), (2, 2, 2)]
+        points = [(index, HardwareMetrics(*xyz)) for index, xyz in enumerate(coordinates)]
+        assert [index for index, _ in pareto_front(points)] == [0, 1, 3, 4]
+        assert pareto_front([]) == []
 
 
 class TestMappingAnalysis:

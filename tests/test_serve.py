@@ -9,7 +9,10 @@ writer mutates the runs directory, the resident ``/v1/report`` body and
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -23,7 +26,8 @@ from repro.experiments.browser import CACHE_FILE
 from repro.experiments.runner import CONFIG_FILE, RESULT_FILE
 from repro.experiments.sweep import LOCK_FILE, SweepPlan
 from repro.serve import create_server
-from repro.utils.serialization import json_safe, save_json
+from repro.utils.serialization import dumps_strict, json_safe, save_json
+from repro.utils.text import did_you_mean
 
 from test_browser import config_payload, make_run, result_payload
 from test_parallel_sweep import TINY_SWEEP, age_file
@@ -430,7 +434,7 @@ class TestReportRenderer:
         expected = json.dumps(json_safe(document), indent=2, allow_nan=False) + "\n"
 
         scan = api.report_scan(root, **options)
-        assert scan.render(scan.fragments()) + "\n" == expected
+        assert scan.render(scan.fragments()) == expected.encode("utf-8")
 
         argv = ["--runs-dir", str(root), "report", "--format", "json"]
         argv += [arg for key, value in filters.items() for arg in ("--filter", f"{key}={value}")]
@@ -465,6 +469,33 @@ class TestReportRenderer:
         assert first == snapshot
         assert set(second) == {"a-run"}
         assert second["a-run"] is first["a-run"]
+
+
+class TestMissBody:
+    """A report miss sends the one ``bytes`` body ``ReportScan.render`` built."""
+
+    def assert_body(self, server, root: Path) -> bytes:
+        status, body, headers = http_get_raw(server, "/v1/report")
+        expected = (dumps_strict(api.report_document(root).to_dict()) + "\n").encode("utf-8")
+        assert (status, body) == (200, expected)
+        assert headers["ETag"] == '"' + hashlib.sha256(expected).hexdigest() + '"'
+        return body
+
+    def test_bodies_and_etags_after_a_post_an_rmtree_and_a_rewrite(
+        self, live_server, runs_root, capsys, renders
+    ):
+        first = self.assert_body(live_server, runs_root)
+        status, created = http_post(live_server, "/v1/jobs", tiny_job_payload(seed=9))
+        assert status == 201
+        posted = self.assert_body(live_server, runs_root)
+        shutil.rmtree(runs_root / json.loads(created)["name"])
+        assert self.assert_body(live_server, runs_root) == first
+        history = [{"epoch": 0.0, "train_ce": 2.5}, {"epoch": 1.0, "train_ce": 2.0}]
+        save_json(result_payload(accuracy=0.81, history=history), runs_root / "a-run" / RESULT_FILE)
+        rewritten = self.assert_body(live_server, runs_root)
+        assert len({first, posted, rewritten}) == 3 and len(renders) == 4
+        cli = cli_stdout(capsys, ["--runs-dir", str(runs_root), "report", "--format", "json"])
+        assert cli.encode("utf-8") == rewritten
 
 
 @pytest.fixture
@@ -528,6 +559,139 @@ class TestResultFragments:
         for path in ("/v1/report?refresh=1", "/v1/report?cache=0"):
             _, served = self.get_report(live_server, runs_root, result_reads, path)
             assert len(served) == 2
+
+
+# ----------------------------------------------------------------------
+# /v1/runs/{name}: one run directory, not the whole tree
+# ----------------------------------------------------------------------
+def browsed_run_body(root: Path, name: str) -> str:
+    """The run document (or 404 text) built from a full scan, the oracle."""
+    from repro.experiments.browser.scanner import scan_runs
+    from repro.experiments.sweep import DEFAULT_LOCK_TTL
+
+    summaries = scan_runs(root).summaries
+    summary = summaries.get(name)
+    if summary is None:
+        return f"unknown run {name!r} under {root}{did_you_mean(name, summaries)}"
+    result = None
+    if summary.has_result and not summary.corrupt:
+        result = json.loads((root / summary.name / RESULT_FILE).read_text())
+    document = {
+        "schema_version": api.SCHEMA_VERSION,
+        "root": str(root),
+        "name": name,
+        "state": summary.state(root, DEFAULT_LOCK_TTL),
+        "step": summary.checkpoint_step,
+        "method": summary.method or summary.result_method,
+        "task": summary.task,
+        "backend": summary.backend_label,
+        "seed": summary.seed,
+        "result": result,
+    }
+    return json.dumps(json_safe(document), indent=2, allow_nan=False)
+
+
+@pytest.fixture
+def run_tree(tmp_path: Path) -> Path:
+    """Flat, nested, pending, locked, checkpointed, corrupt and NaN-accuracy runs."""
+    from test_browser import mixed_tree
+
+    root = mixed_tree(tmp_path / "runs")
+    make_run(root, "nan-run", result=result_payload(accuracy=float("nan")))
+    make_run(root, "locked-run", config=config_payload(seed=8))
+    (root / "locked-run" / LOCK_FILE).write_text('{"token": "w"}', encoding="utf-8")
+    os.symlink(root / "a-run", root / "link-run", target_is_directory=True)
+    return root
+
+
+RUN_NAMES = (
+    "a-run",
+    "a-run-b",
+    "chk-run",
+    "fail-run",
+    "pending-run",
+    "corrupt-run",
+    "nested/deep-run",
+    "nan-run",
+    "locked-run",
+)
+UNLISTED_NAMES = (
+    "..",
+    "../runs",
+    "nested/../a-run",
+    "./a-run",
+    "",
+    "a-run/",
+    "nested//deep-run",
+    "/a-run",
+    "link-run",
+    "nested",
+    "no-such-run",
+    "a-run\x00",
+)
+
+
+class TestRunDocument:
+    @pytest.fixture
+    def listings(self, monkeypatch):
+        """Directories listed, and a browse that must not happen."""
+        from repro.experiments import browser
+
+        listed = []
+        original = os.scandir
+
+        def recording(path="."):
+            listed.append(str(path))
+            return original(path)
+
+        def no_browse(*args, **kwargs):
+            raise AssertionError("a single run browsed the whole tree")
+
+        monkeypatch.setattr(os, "scandir", recording)
+        monkeypatch.setattr(browser, "browse", no_browse)
+        return listed
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_reads_one_directory_and_equals_the_browse(self, run_tree, use_cache, listings):
+        from repro.experiments.browser import BrowserCache, scan_runs
+
+        expected = {name: browsed_run_body(run_tree, name) for name in RUN_NAMES}
+        BrowserCache(run_tree).save(scan_runs(run_tree).summaries)  # a warm cache
+        for name in RUN_NAMES:
+            del listings[:]
+            body = api.run_document(run_tree, name, use_cache=use_cache).render()
+            assert body == expected[name], name
+            assert listings == [str(run_tree / name)], name
+
+    def test_root_is_a_run(self, tmp_path, listings):
+        root = tmp_path / "runs"
+        make_run(root, ".", result=result_payload(), config=config_payload())
+        expected = browsed_run_body(root, ".")
+        del listings[:]
+        assert api.run_document(root, ".").render() == expected
+        assert listings == [str(root)]
+
+    @pytest.mark.parametrize("name", UNLISTED_NAMES)
+    def test_unlisted_names_give_the_browse_404(self, run_tree, name):
+        with pytest.raises(api.UnknownRunError) as raised:
+            api.run_document(run_tree, name)
+        assert str(raised.value) == browsed_run_body(run_tree, name)
+
+    def test_http_404_for_path_escapes(self, run_tree):
+        server = create_server(run_tree, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for name in ("../runs", "..", "nested/../a-run", "link-run"):
+                status, body, _ = http_get_raw(server, f"/v1/runs/{name}")
+                assert status == 404, name
+                assert json.loads(body)["error"] == browsed_run_body(run_tree, name)
+            status, body, _ = http_get_raw(server, "/v1/runs/nested/deep-run")
+            assert (status, body) == (200, (browsed_run_body(run_tree, "nested/deep-run") + "\n").encode())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
 
 def test_job_submission_parses_only_the_new_run(live_server, runs_root, monkeypatch):
