@@ -436,7 +436,8 @@ def main() -> int:
     #     pending job caused (the full read + render of every result
     #     against a render from the server's resident result fragments);
     #     and a cold /v1/cost query (clears the residency so the CostTable
-    #     is rebuilt) against a warm resident-table lookup; and the strict
+    #     is rebuilt and the body re-rendered) against a warm query answered
+    #     from the server's rendered cost bodies; and the strict
     #     JSON renderer on the tree's full report document (json_safe +
     #     json.dumps(indent=2) against dumps_strict).
     # ------------------------------------------------------------------
@@ -507,6 +508,7 @@ def main() -> int:
 
         def cold_cost_query() -> None:
             server.cost_tables.clear()
+            server.cost_bodies.clear()
             fetch("/v1/cost")
 
         before = _time(cold_cost_query, repeats=3)

@@ -22,10 +22,15 @@ stability contract.  This facade defines the contract:
   :func:`report_document` is :func:`report_scan` followed by
   :meth:`ReportScan.document`.  The CLI and the server render the report
   body through :meth:`ReportScan.render` instead, from one
-  :class:`ResultFragment` per run: the server keys its resident report body on
-  the scan's key and keeps the fragments, so that a changed tree re-reads
-  only the results that changed.  :func:`run_document` reads the one run
-  directory it names (:func:`repro.experiments.browser.scan_run`).
+  :class:`ResultFragment` per run; the server renders it in two parts
+  (:meth:`ReportScan.render_prefix` and :meth:`ReportScan.render_tail`)
+  and keeps the fragments, so that a changed tree re-reads only the
+  results that changed and a queue-state change re-renders only the tail.
+  The report-family builders take the :class:`TreeWalk` of a browse the
+  caller already made (``walk=``), so the server builds from the one walk
+  it checked its resident answers against.  :func:`run_document` reads
+  the one run directory it names
+  (:func:`repro.experiments.browser.scan_run`).
 
 Schema policy: additive changes (new keys) keep the version; renaming or
 removing a key, or changing a value's meaning, bumps :data:`SCHEMA_VERSION`
@@ -37,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.utils.serialization import dumps_strict, json_safe, load_json
 from repro.utils.text import did_you_mean as _did_you_mean
@@ -232,25 +237,60 @@ class CostDocument(_Document):
 # ----------------------------------------------------------------------
 # Shared browse plumbing
 # ----------------------------------------------------------------------
-def _browse(
-    root: Union[str, Path],
-    lock_ttl: Optional[float],
-    use_cache: bool,
-    refresh: bool,
-    filters: Optional[Mapping[str, str]],
-):
-    """One incremental-browser scan plus filter slice.
+@dataclass(frozen=True)
+class TreeWalk:
+    """One browse of a runs directory: every run it found, unfiltered.
 
-    Returns ``(root, summaries, locked, ttl)``: ``locked`` holds the relpaths
-    whose directory listed a ``LOCK``, the only locks a state needs to stat.
+    ``summaries`` maps relpaths to the browser's shared, read-only
+    :class:`~repro.experiments.browser.RunSummary` objects — a warm browse
+    returns the very objects the previous one did — and ``locked`` holds
+    the relpaths whose directory listed a ``LOCK``, the only runs whose
+    state needs a ``stat``.  ``ttl`` is the lock ttl states are classified
+    with.
     """
-    from repro.experiments.browser import browse, filter_summaries
+
+    root: Path
+    summaries: Dict[str, Any]
+    locked: Set[str]
+    ttl: float
+
+    def filtered(self, filters: Optional[Mapping[str, str]]) -> Dict[str, Any]:
+        """The summaries surviving a ``--filter`` slice (all of them without one)."""
+        from repro.experiments.browser import filter_summaries
+
+        return filter_summaries(self.summaries, filters, self.root, self.ttl, self.locked)
+
+    def listed(self, filters: Optional[Mapping[str, str]]) -> List[Tuple[str, Any]]:
+        """``(name, summary)`` of every filtered run with a usable result, report-ordered."""
+        from repro.experiments.browser import results_view
+
+        return results_view(self.filtered(filters), self.root)
+
+
+def walk_tree(
+    root: Union[str, Path],
+    lock_ttl: Optional[float] = None,
+    use_cache: bool = True,
+    refresh: bool = False,
+) -> TreeWalk:
+    """One incremental-browser scan of ``root`` (see :func:`repro.experiments.browser.browse`)."""
+    from repro.experiments.browser import browse
 
     root = Path(root)
-    ttl = _ttl(lock_ttl)
     outcome = browse(root, use_cache=use_cache, refresh=refresh)
-    summaries = filter_summaries(outcome.summaries, filters, root, ttl, outcome.locked)
-    return root, summaries, outcome.locked, ttl
+    return TreeWalk(root, outcome.summaries, outcome.locked, _ttl(lock_ttl))
+
+
+def result_signatures(listed: Sequence[Tuple[str, Any]]) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """``(name, result.json (mtime_ns, size))`` of every run of a results listing.
+
+    Everything a report's ``results``/``pareto`` members and a Pareto
+    document render depends on, under the same trust in stat signatures
+    the browser cache places (``docs/browser.md``).
+    """
+    from repro.experiments.browser.run_summary import RESULT_ARTIFACT
+
+    return tuple((name, tuple(summary.signature[RESULT_ARTIFACT])) for name, summary in listed)
 
 
 def _ttl(lock_ttl: Optional[float]) -> float:
@@ -274,8 +314,8 @@ def run_states(
     """
     from repro.experiments.browser import status_view
 
-    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
-    return status_view(summaries, root, ttl, locked)
+    walk = walk_tree(root, lock_ttl, use_cache, refresh)
+    return status_view(walk.filtered(filters), walk.root, walk.ttl, walk.locked)
 
 
 # ----------------------------------------------------------------------
@@ -319,23 +359,23 @@ def pareto_records(named_results: Sequence[Tuple[str, Any]]) -> List[Dict[str, A
     return sorted(records, key=lambda record: (record["edap"], record["error"]))
 
 
-def _browsed_named_results(root: Path, summaries) -> List[Tuple[str, Any]]:
-    from repro.experiments.browser import results_view
-
-    return [(name, summary.to_result()) for name, summary in results_view(summaries, root)]
-
-
 def pareto_document(
     root: Union[str, Path],
     lock_ttl: Optional[float] = None,
     use_cache: bool = True,
     refresh: bool = False,
     filters: Optional[Mapping[str, str]] = None,
+    walk: Optional[TreeWalk] = None,
 ) -> ParetoDocument:
-    """Pareto records of every finished run under ``root`` (browser-served)."""
-    root, summaries, _, _ = _browse(root, lock_ttl, use_cache, refresh, filters)
-    records = pareto_records(_browsed_named_results(root, summaries))
-    return ParetoDocument(root=str(root), records=records)
+    """Pareto records of every finished run under ``root`` (browser-served).
+
+    ``walk`` is a browse of ``root`` already made for this answer; without
+    one, ``root`` is browsed with the given options.
+    """
+    if walk is None:
+        walk = walk_tree(root, lock_ttl, use_cache, refresh)
+    named = [(name, summary.to_result()) for name, summary in walk.listed(filters)]
+    return ParetoDocument(root=str(walk.root), records=pareto_records(named))
 
 
 def _nested(text: str, depth: int) -> str:
@@ -387,27 +427,22 @@ class ResultFragment:
 
 @dataclass(frozen=True)
 class ReportScan:
-    """The one browse behind a report: the runs it lists and its cache key.
-
-    ``key`` is everything the rendered :class:`ReportDocument` depends on:
-    the root, the normalised filters, the ``(mtime_ns, size)`` signature of
-    every listed ``result.json`` and the live queue-state table.  Two scans
-    with equal keys render byte-identical documents, unless a
-    ``result.json`` was rewritten without its stat signature changing — the
-    same trust the browser cache already places in signatures.  The server
-    keys its resident ``/v1/report`` body on it (``docs/serve.md``).
+    """The report view of one browse: the runs it lists and their queue states.
 
     :meth:`render` is the one report renderer: ``report --format json``
     writes ``scan.render(scan.fragments())`` to stdout, and the server passes the
     fragments of its previous render to :meth:`fragments`, so that only
-    new or rewritten results are read.  :meth:`document` builds the same
-    report as plain dicts.
+    new or rewritten results are read.  The body splits in two at the
+    ``runs`` member: :meth:`render_prefix` (head, ``results``, ``pareto``)
+    depends only on the listed results, :meth:`render_tail` (``runs``,
+    ``summary``) on queue state too, so a server whose listed results kept
+    their signatures (:func:`result_signatures`) re-renders the tail
+    alone.  :meth:`document` builds the same report as plain dicts.
     """
 
     root: Path
     listed: List[Tuple[str, Any]]
     status: Dict[str, Dict[str, Any]]
-    key: Tuple[Hashable, ...]
 
     def _path(self, summary) -> Path:
         from repro.experiments.runner import RESULT_FILE
@@ -445,8 +480,9 @@ class ReportScan:
 
         A fragment in ``reuse`` whose signature matches the scan's is kept;
         every other listed ``result.json`` is read and rendered.  The
-        returned dict is new (``reuse`` is never mutated) and holds only
-        the runs this scan lists.
+        returned dict is new (``reuse`` is never mutated) and holds exactly
+        the listed runs with a readable result, so its length is the
+        report's result count.
         """
         from repro.experiments.browser.run_summary import RESULT_ARTIFACT
 
@@ -471,15 +507,8 @@ class ReportScan:
             fragments[summary.name] = fragment
         return fragments
 
-    def render(self, fragments: Mapping[str, ResultFragment]) -> bytes:
-        """The report's response body: ``self.document().render() + "\\n"`` in UTF-8.
-
-        One ``bytes`` join of the head, the listed runs' fragments in
-        listing order (a listed run without a fragment had no readable
-        result), the small members rendered at depth 1 and the trailing
-        newline, so a megabyte body is built once, not as text first.  The
-        server hashes and sends these bytes; the CLI writes them to stdout.
-        """
+    def _prefix_parts(self, fragments: Mapping[str, ResultFragment]) -> Tuple[List[bytes], int]:
+        """The prefix's byte parts and the number of results they hold."""
         named = [
             (name, fragments[summary.name])
             for name, summary in self.listed
@@ -495,13 +524,39 @@ class ReportScan:
             parts += (separator, fragment.entry)
             separator = b",\n    "
         parts.append(b"\n  ]" if named else b"[]")
-        for key, value in (
-            ("pareto", pareto_records(named)),
-            ("runs", self.status),
-            ("summary", self._summary(len(named))),
-        ):
-            parts.append(f',\n  "{key}": {_nested(dumps_strict(value), 1)}'.encode("utf-8"))
-        parts.append(b"\n}\n")
+        pareto = _nested(dumps_strict(pareto_records(named)), 1)
+        parts.append(f',\n  "pareto": {pareto}'.encode("utf-8"))
+        return parts, len(named)
+
+    def render_prefix(self, fragments: Mapping[str, ResultFragment]) -> bytes:
+        """The body up to the end of the ``pareto`` member, in UTF-8.
+
+        The head, the listed runs' fragments in listing order (a listed run
+        without a fragment had no readable result) and the Pareto records,
+        in one ``bytes`` join.
+        """
+        parts, _ = self._prefix_parts(fragments)
+        return b"".join(parts)
+
+    def render_tail(self, results: int) -> bytes:
+        """The body after :meth:`render_prefix`, for a prefix holding ``results`` results.
+
+        The ``runs`` and ``summary`` members at depth 1, the closing brace
+        and the trailing newline.
+        """
+        runs = _nested(dumps_strict(self.status), 1)
+        summary = _nested(dumps_strict(self._summary(results)), 1)
+        return f',\n  "runs": {runs},\n  "summary": {summary}\n}}\n'.encode("utf-8")
+
+    def render(self, fragments: Mapping[str, ResultFragment]) -> bytes:
+        """The report's response body: ``self.document().render() + "\\n"`` in UTF-8.
+
+        :meth:`render_prefix` followed by :meth:`render_tail`, joined once,
+        so a megabyte body is built once, not as text first.  The CLI
+        writes these bytes to stdout; the server sends the two parts.
+        """
+        parts, results = self._prefix_parts(fragments)
+        parts.append(self.render_tail(results))
         return b"".join(parts)
 
 
@@ -511,21 +566,23 @@ def report_scan(
     use_cache: bool = True,
     refresh: bool = False,
     filters: Optional[Mapping[str, str]] = None,
+    walk: Optional[TreeWalk] = None,
 ) -> ReportScan:
-    """Browse ``root`` once for a report: the listed runs, states and key."""
-    from repro.experiments.browser import results_view, status_view
-    from repro.experiments.browser.run_summary import RESULT_ARTIFACT
+    """The report view of one browse of ``root``: its listed runs and states.
 
-    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
-    listed = results_view(summaries, root)
-    status = status_view(summaries, root, ttl, locked)
-    key = (
-        str(root),
-        tuple(sorted((filters or {}).items())),
-        tuple((name, tuple(summary.signature[RESULT_ARTIFACT])) for name, summary in listed),
-        tuple((name, tuple(entry.items())) for name, entry in status.items()),
+    ``walk`` is a browse of ``root`` already made for this answer; without
+    one, ``root`` is browsed with the given options.
+    """
+    from repro.experiments.browser import results_view, status_view
+
+    if walk is None:
+        walk = walk_tree(root, lock_ttl, use_cache, refresh)
+    summaries = walk.filtered(filters)
+    return ReportScan(
+        root=walk.root,
+        listed=results_view(summaries, walk.root),
+        status=status_view(summaries, walk.root, walk.ttl, walk.locked),
     )
-    return ReportScan(root=root, listed=listed, status=status, key=key)
 
 
 def report_document(
@@ -545,6 +602,7 @@ def summary_document(
     use_cache: bool = True,
     refresh: bool = False,
     filters: Optional[Mapping[str, str]] = None,
+    walk: Optional[TreeWalk] = None,
 ) -> SummaryDocument:
     """One-shot sweep-progress aggregation over every scanned run.
 
@@ -552,8 +610,13 @@ def summary_document(
     ``config.json``, mirroring the work queue), this counts *every* run
     directory the browser discovered at any depth: overall state totals,
     plus a finished/total breakdown per ``(backend, task)`` slice.
+    ``walk`` is a browse of ``root`` already made for this answer; without
+    one, ``root`` is browsed with the given options.
     """
-    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, filters)
+    if walk is None:
+        walk = walk_tree(root, lock_ttl, use_cache, refresh)
+    root, locked, ttl = walk.root, walk.locked, walk.ttl
+    summaries = walk.filtered(filters)
     states: Dict[str, int] = {}
     live: Dict[str, str] = {}
     slices: Dict[Tuple[str, str], Dict[str, int]] = {}
@@ -613,7 +676,8 @@ def schedule_document(
     """The adaptive-sweep schedule under ``root`` (``GET /v1/sweep/schedule``)."""
     from repro.experiments.schedulers import load_state, candidate_rows, schedule_overview
 
-    root, summaries, locked, ttl = _browse(root, lock_ttl, use_cache, refresh, None)
+    walk = walk_tree(root, lock_ttl, use_cache, refresh)
+    root, summaries, locked, ttl = walk.root, walk.summaries, walk.locked, walk.ttl
     try:
         state = load_state(root)
     except ValueError:
@@ -661,7 +725,8 @@ def run_document(
     if outcome is not None:
         summaries, locked = outcome.summaries, outcome.locked
     else:
-        _, summaries, locked, _ = _browse(root, lock_ttl, use_cache, refresh, None)
+        walk = walk_tree(root, lock_ttl, use_cache, refresh)
+        summaries, locked = walk.summaries, walk.locked
     summary = summaries.get(name)
     if summary is None:
         raise UnknownRunError(
@@ -913,6 +978,7 @@ __all__ = [
     "RunDocument",
     "ScheduleDocument",
     "SummaryDocument",
+    "TreeWalk",
     "UnknownRunError",
     "cost_document",
     "job_document",
@@ -920,9 +986,11 @@ __all__ = [
     "pareto_records",
     "report_document",
     "report_scan",
+    "result_signatures",
     "run_document",
     "run_states",
     "schedule_document",
     "submit_job",
     "summary_document",
+    "walk_tree",
 ]

@@ -33,7 +33,9 @@ A process parses each version of the file once (:meth:`BrowserCache.load`
 keeps what it parsed) and never parses a version it wrote itself
 (:meth:`BrowserCache.save` seeds what it wrote), so the warm requests of a
 long-lived ``serve`` process cost the stat walk, not a re-parse of the
-cache.
+cache.  Nor does it encode a summary twice: a save keeps each summary's
+compact JSON entry, and the next save reuses the entry of every summary
+it is handed again, encoding only the new ones.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ CACHE_FILE = ".browser_cache.json"
 #: Entries are replaced whole, never mutated: two ``serve`` handler threads
 #: that parse the same version at once store equal summaries.
 _PARSED: Dict[str, Tuple[Tuple[int, int, int], Dict[str, RunSummary]]] = {}
+
+#: Per cache path, the compact JSON entry (``"<relpath>":{...}``) of every
+#: summary last saved there, held with the summary it encodes.  Replaced
+#: whole by each save, so it holds only the summaries of the latest one.
+_ENCODED: Dict[str, Dict[str, Tuple[RunSummary, bytes]]] = {}
 
 
 class BrowserCache:
@@ -135,19 +142,35 @@ class BrowserCache:
         the path after the rename could see another writer's file; the
         pre-rename key cannot, so that file still gets parsed.  The saved
         summaries become shared and read-only, like parsed ones.
+
+        The file is ``json.dumps(payload, separators=(",", ":"))`` of
+        ``{"schema_version": ..., "entries": {relpath: to_dict()}}`` —
+        compact, since it is machine-only and parse speed and size matter
+        more than diffability — written as a join of one encoded entry per
+        summary.  An entry is encoded once per summary object: the entry a
+        previous save encoded is reused while it is handed the very same
+        (read-only) summary under the same relpath.
         """
-        payload = {
-            "schema_version": CACHE_VERSION,
-            "entries": {relpath: summary.to_dict() for relpath, summary in summaries.items()},
-        }
-        # Compact: a machine-only file, where parse speed and size matter
-        # more than diffability.
-        data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        key = str(self.path)
+        held = _ENCODED.get(key, {})
+        encoded: Dict[str, Tuple[RunSummary, bytes]] = {}
+        for relpath, summary in summaries.items():
+            prior = held.get(relpath)
+            if prior is None or prior[0] is not summary:
+                entry = json.dumps(summary.to_dict(), separators=(",", ":"))
+                prior = (summary, f"{json.dumps(relpath)}:{entry}".encode("utf-8"))
+            encoded[relpath] = prior
+        _ENCODED[key] = encoded
+        data = [
+            b'{"schema_version":%d,"entries":{' % CACHE_VERSION,
+            b",".join(entry for _, entry in encoded.values()),
+            b"}}",
+        ]
         try:
-            written = write_atomic(self.path, [data])
+            written = write_atomic(self.path, data)
         except OSError as error:
             logger.warning("could not write browser cache %s: %s", self.path, error)
             return False
         version = (written.st_ino, written.st_mtime_ns, written.st_size)
-        _PARSED[str(self.path)] = (version, dict(summaries))
+        _PARSED[key] = (version, dict(summaries))
         return True

@@ -12,9 +12,10 @@ Design rules:
   request; all shared mutable state lives in battle-tested layers below
   (the browser cache writes atomically with per-thread temp names, the
   work queue claims via ``O_EXCL`` locks, resident cost tables build under
-  a per-key lock).  The one piece the server itself holds is the resident
-  ``/v1/report`` body and the result fragments it was rendered from, each
-  swapped whole by an attribute assignment, never mutated.
+  a per-key lock).  What the server itself holds — one resident answer
+  per report-family endpoint, the result fragments the report was
+  rendered from and the rendered ``/v1/cost`` bodies — is swapped whole
+  by an assignment, never mutated in place (the cost bodies under a lock).
 * **Errors are documents too.**  Every non-2xx body is
   ``{"schema_version": ..., "error": ...}`` through the same encoder, and
   unknown names answer with the repository's canonical did-you-mean hints.
@@ -22,17 +23,21 @@ Design rules:
   ``/v1/pareto``, ``/v1/summary``) tag every 200 with a strong ``ETag``
   (the SHA-256 of the exact body); a request whose ``If-None-Match``
   matches is answered ``304 Not Modified`` with no body.
-* **A warm report is free too.**  ``/v1/report`` bodies run to megabytes
-  over a sweep-sized tree, and re-reading and rendering one costs far more
-  than the browse that decides whether anything changed.  The server keeps
-  the last rendered body and its ETag resident, keyed on the request's
-  :class:`repro.api.ReportScan` key; a request whose browse yields the same
-  key is answered from those bytes without reading, rendering or hashing
-  anything.  A request whose key differs re-reads and re-renders only the
-  runs whose ``result.json`` signature no resident
-  :class:`repro.api.ResultFragment` carries, then joins the fragments'
-  bytes into the body in one pass and hashes it once.
-  ``refresh=1`` and ``cache=0`` always rebuild from nothing.
+* **A warm answer is free too.**  Each report-family request browses the
+  tree once (:func:`repro.api.walk_tree`).  The server keeps one resident
+  answer per endpoint — the body bytes, their ETag and what they were
+  built from — and sends it as stored while the walk returns the very
+  summary objects the answer holds, every run whose directory listed a
+  ``LOCK`` keeps its live state, and (``/v1/summary``) the schedule file
+  keeps its version.  Nothing is viewed, rendered or hashed.  A miss
+  whose listed results kept their signatures re-renders only what queue
+  state feeds: the report's ``runs``/``summary`` tail, the whole
+  (small) summary, nothing of the Pareto records.  Otherwise the report
+  re-reads and re-renders only the runs whose ``result.json`` signature
+  no resident :class:`repro.api.ResultFragment` carries.
+  ``refresh=1`` and ``cache=0`` always rebuild from nothing.  Rendered
+  ``/v1/cost`` bodies, a pure function of the query, are kept in a
+  bounded LRU (:data:`COST_BODIES`).
 * **A run is one directory.**  ``/v1/runs/{name}`` and ``/v1/jobs/{name}``
   read ``<runs>/<name>`` alone (:func:`repro.api.run_document`); only an
   unknown name browses the tree, for its did-you-mean hint.
@@ -46,9 +51,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import api
@@ -62,6 +71,10 @@ logger = get_logger("serve")
 #: slice keys plus the cache controls (mirroring ``--refresh``/``--no-cache``).
 _REPORT_PARAMS = ("backend", "task", "method", "seed", "state", "refresh", "cache")
 _COST_FIXED_PARAMS = ("backend", "task", "hw_space", "arch")
+
+#: Rendered ``/v1/cost`` 200 bodies the server keeps, least recently used
+#: dropped first (a body is a few kilobytes).
+COST_BODIES = 64
 
 _ENDPOINTS = (
     "GET /v1/report",
@@ -94,12 +107,72 @@ def _body(rendered: str) -> bytes:
 
 def _etag(body: bytes) -> str:
     """The strong ``ETag`` of a response body: the SHA-256 of its bytes."""
-    return '"' + hashlib.sha256(body).hexdigest() + '"'
+    return _quoted(hashlib.sha256(body))
+
+
+def _quoted(digest: Any) -> str:
+    return '"' + digest.hexdigest() + '"'
+
+
+def _file_version(path: Path) -> Optional[Tuple[int, int, int]]:
+    """``(st_ino, st_mtime_ns, st_size)`` of ``path``, or ``None`` when absent."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A report-family response body and what its bytes depend on beyond queue state."""
+
+    #: :func:`repro.api.result_signatures` of the listed results (report, Pareto).
+    results: Tuple[Any, ...]
+    #: The body's bytes in sending order (the report keeps prefix and tail apart).
+    parts: Tuple[bytes, ...]
+    #: The SHA-256 of ``b"".join(parts)``.
+    etag: str
+    #: The report's SHA-256 state over ``parts[0]``, and the results it holds.
+    prefix_digest: Any = None
+    result_count: int = 0
+
+
+@dataclass(frozen=True)
+class _Answer:
+    """One report-family endpoint's resident body and the walk it was built from."""
+
+    #: The normalised filter query, as sorted ``(key, value)`` pairs.
+    filters: Tuple[Tuple[str, str], ...]
+    #: The walk's summaries, unfiltered: shared objects, compared by identity.
+    summaries: Mapping[str, Any]
+    #: Live state of each run whose listing held a ``LOCK``.
+    lock_states: Mapping[str, str]
+    #: Version of ``.scheduler_state.json`` (``/v1/summary`` only).
+    scheduler: Optional[Tuple[int, int, int]]
+    body: _Body
+
+    def holds(
+        self,
+        filters: Tuple[Tuple[str, str], ...],
+        summaries: Mapping[str, Any],
+        lock_states: Mapping[str, str],
+        scheduler: Optional[Tuple[int, int, int]],
+    ) -> bool:
+        """Whether a walk with these inputs would build this very body."""
+        held = self.summaries
+        return (
+            filters == self.filters
+            and len(summaries) == len(held)
+            and all(held.get(relpath) is summary for relpath, summary in summaries.items())
+            and lock_states == self.lock_states
+            and scheduler == self.scheduler
+        )
 
 
 class ReproServer(ThreadingHTTPServer):
     """One thread per request; shared state is the runs dir, the resident cost
-    tables and the resident report body with its result fragments."""
+    tables and cost bodies, and one resident answer per report-family endpoint."""
 
     daemon_threads = True
 
@@ -116,38 +189,126 @@ class ReproServer(ThreadingHTTPServer):
         self.runs_dir = Path(runs_dir)
         self.lock_ttl = DEFAULT_LOCK_TTL if lock_ttl is None else float(lock_ttl)
         self.cost_tables = ResidentCostTables()
-        #: The resident ``/v1/report`` body: ``(scan key, body, etag)``.
-        self._report_body: Optional[Tuple[Hashable, bytes, str]] = None
+        #: The resident answer of each report-family endpoint, by endpoint.
+        self._answers: Dict[str, _Answer] = {}
         #: The result fragments of the last rendered report, by run relpath.
         self._fragments: Dict[str, api.ResultFragment] = {}
+        self.cost_bodies: "OrderedDict[Hashable, bytes]" = OrderedDict()
+        self._cost_lock = threading.Lock()
 
-    def report_body(self, options: Mapping[str, Any]) -> Tuple[bytes, str]:
-        """The ``/v1/report`` body and ETag for one request's query options.
+    def answer(self, endpoint: str, options: Mapping[str, Any]) -> _Body:
+        """The body of ``/v1/<endpoint>`` (report, summary, pareto) for one request.
 
-        Every request browses once (:func:`repro.api.report_scan`).  When the
-        scan's key equals the resident one, the stored bytes and tag are the
-        answer.  Otherwise the resident body is dropped *before* the new one
-        is rendered — so the process never holds two — and the body is
-        rendered from the resident fragments, reading only the results whose
-        signature changed.  The new fragments and body then replace the old
-        ones; a thread that read the old fragments still holds a complete
-        store, since neither is ever mutated.  The body is the ``bytes``
-        :meth:`repro.api.ReportScan.render` joined, hashed as it is.
-        ``refresh``/``cache=0`` requests always rebuild from nothing, like
-        the ``--refresh``/``--no-cache`` CLI flags they mirror.
+        Every request walks the tree once.  The live state of each run
+        whose listing held a ``LOCK`` (and, for the summary, the schedule
+        file's version) is taken *before* anything is built, so a lock that
+        ages while a body renders makes the next request rebuild rather
+        than keep a stale body.  While the resident answer
+        :meth:`_Answer.holds` for this walk, its body is the answer, and
+        nothing is viewed, rendered or hashed.  Otherwise the endpoint's
+        builder makes a new body, which replaces it.  ``refresh``/``cache=0``
+        requests always rebuild from nothing, like the ``--refresh`` /
+        ``--no-cache`` CLI flags they mirror.
         """
-        scan = api.report_scan(self.runs_dir, **options)
-        resident = self._report_body
+        walk = api.walk_tree(
+            self.runs_dir, options["lock_ttl"], options["use_cache"], options["refresh"]
+        )
+        scheduler = None
+        if endpoint == "summary":
+            from repro.experiments.schedulers.state import state_path
+
+            scheduler = _file_version(state_path(walk.root))
+        basis = dict(
+            filters=tuple(sorted((options["filters"] or {}).items())),
+            summaries=walk.summaries,
+            lock_states={
+                relpath: walk.summaries[relpath].state(walk.root, walk.ttl, walk.locked)
+                for relpath in walk.locked
+            },
+            scheduler=scheduler,
+        )
         reusable = options["use_cache"] and not options["refresh"]
-        if reusable and resident is not None and resident[0] == scan.key:
-            return resident[1], resident[2]
-        # Drop the local reference too, or the old body outlives the render.
-        resident = self._report_body = None
-        fragments = scan.fragments(self._fragments if reusable else None)
-        body = scan.render(fragments)
-        etag = _etag(body)
-        self._report_body, self._fragments = (scan.key, body, etag), fragments
-        return body, etag
+        held = self._answers.get(endpoint) if reusable else None
+        if held is not None and held.holds(**basis):
+            return held.body
+        held = None  # a report build may drop the resident body first
+        build = {
+            "report": self._build_report,
+            "pareto": self._build_pareto,
+            "summary": self._build_summary,
+        }[endpoint]
+        body = build(walk, options["filters"], basis["filters"], reusable)
+        self._answers[endpoint] = _Answer(body=body, **basis)
+        return body
+
+    def _held_body(self, endpoint: str, filter_key, results, reusable: bool) -> Optional[_Body]:
+        """The resident body if it lists the same results under the same filters."""
+        held = self._answers.get(endpoint) if reusable else None
+        if held is not None and held.filters == filter_key and held.body.results == results:
+            return held.body
+        return None
+
+    def _build_report(self, walk, filters, filter_key, reusable: bool) -> _Body:
+        """The report in two parts; the prefix is kept while the listed results are.
+
+        A miss whose listed results kept their signatures renders only the
+        tail and finishes the ETag from a copy of the stored prefix's hash
+        state.  Otherwise the resident body is dropped *before* the new
+        prefix is rendered — so the process never holds two bodies — and
+        the prefix is rendered from the resident fragments, reading only
+        the results whose signature changed.  The new fragments replace the
+        old ones; a thread that read the old fragments still holds a
+        complete store, since neither is ever mutated.
+        """
+        scan = api.report_scan(walk.root, filters=filters, walk=walk)
+        results = api.result_signatures(scan.listed)
+        held = self._held_body("report", filter_key, results, reusable)
+        if held is not None:
+            prefix, digest, count = held.parts[0], held.prefix_digest, held.result_count
+            held = None
+        else:
+            self._answers.pop("report", None)
+            fragments = scan.fragments(self._fragments if reusable else None)
+            prefix, count = scan.render_prefix(fragments), len(fragments)
+            digest = hashlib.sha256(prefix)
+            self._fragments = fragments
+        tail = scan.render_tail(count)
+        full = digest.copy()
+        full.update(tail)
+        return _Body(results, (prefix, tail), _quoted(full), digest, count)
+
+    def _build_pareto(self, walk, filters, filter_key, reusable: bool) -> _Body:
+        """The Pareto body, kept while the listed results are."""
+        results = api.result_signatures(walk.listed(filters))
+        held = self._held_body("pareto", filter_key, results, reusable)
+        if held is not None:
+            return held
+        body = _body(api.pareto_document(walk.root, filters=filters, walk=walk).render())
+        return _Body(results, (body,), _etag(body))
+
+    def _build_summary(self, walk, filters, filter_key, reusable: bool) -> _Body:
+        """The summary body: queue state feeds all of it, so it is rebuilt."""
+        body = _body(api.summary_document(walk.root, filters=filters, walk=walk).render())
+        return _Body((), (body,), _etag(body))
+
+    def cost_body(self, key: Hashable, build: Callable[[], api.CostDocument]) -> bytes:
+        """The ``/v1/cost`` 200 body of a normalised query ``key``, rendered once.
+
+        ``build`` makes the document on a miss; an error it raises (a 4xx)
+        propagates and nothing is stored.
+        """
+        with self._cost_lock:
+            body = self.cost_bodies.get(key)
+            if body is not None:
+                self.cost_bodies.move_to_end(key)
+                return body
+        body = _body(build().render())
+        with self._cost_lock:
+            self.cost_bodies[key] = body
+            self.cost_bodies.move_to_end(key)
+            while len(self.cost_bodies) > COST_BODIES:
+                self.cost_bodies.popitem(last=False)
+        return body
 
     @property
     def url(self) -> str:
@@ -180,14 +341,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(document.render(), status)
 
     def _send_json(self, rendered: str, status: int) -> None:
-        body = _body(rendered)
+        self._send_body(_body(rendered), status)
+
+    def _send_body(self, body: bytes, status: int = 200) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_revalidated(self, body: bytes, etag: str) -> None:
+    def _send_revalidated(self, body: _Body) -> None:
         """Send a body with its strong ``ETag``, honouring ``If-None-Match``.
 
         The tag is the SHA-256 of the exact response body (rendered
@@ -197,21 +360,19 @@ class _Handler(BaseHTTPRequestHandler):
         ``304`` carrying the same ``ETag`` (RFC 9110: a 304 has no body,
         which ``http.client``-family consumers already expect).
         """
-        if self._if_none_match_hits(etag):
+        if self._if_none_match_hits(body.etag):
             self.send_response(304)
-            self.send_header("ETag", etag)
+            self.send_header("ETag", body.etag)
             self.end_headers()
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("ETag", etag)
+        self.send_header("Content-Length", str(sum(len(part) for part in body.parts)))
+        self.send_header("ETag", body.etag)
         self.end_headers()
-        self.wfile.write(body)
-
-    def _send_revalidated_document(self, document: api._Document) -> None:
-        body = _body(document.render())
-        self._send_revalidated(body, _etag(body))
+        # The parts go out as they are held: joining them would copy the body.
+        for part in body.parts:
+            self.wfile.write(part)
 
     def _if_none_match_hits(self, etag: str) -> bool:
         """Whether the request's ``If-None-Match`` matches ``etag``.
@@ -305,16 +466,9 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
                 200,
             )
-        elif path == "/v1/report":
-            self._send_revalidated(*self.server.report_body(self._report_options()))
-        elif path == "/v1/pareto":
-            self._send_revalidated_document(
-                api.pareto_document(runs, **self._report_options())
-            )
-        elif path == "/v1/summary":
-            self._send_revalidated_document(
-                api.summary_document(runs, **self._report_options())
-            )
+        elif path in ("/v1/report", "/v1/pareto", "/v1/summary"):
+            endpoint = path[len("/v1/") :]
+            self._send_revalidated(self.server.answer(endpoint, self._report_options()))
         elif path == "/v1/sweep/schedule":
             self._send_document(
                 api.schedule_document(runs, lock_ttl=self.server.lock_ttl)
@@ -330,7 +484,7 @@ class _Handler(BaseHTTPRequestHandler):
                 api.job_document(runs, name, lock_ttl=self.server.lock_ttl)
             )
         elif path == "/v1/cost":
-            self._send_document(self._cost_document())
+            self._send_body(self._cost_body())
         else:
             raise _RequestError(
                 404,
@@ -338,7 +492,8 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{_did_you_mean(path, [e.split(' ', 1)[1] for e in _ENDPOINTS])}",
             )
 
-    def _cost_document(self) -> api.CostDocument:
+    def _cost_body(self) -> bytes:
+        """The ``/v1/cost`` body of the request's query, rendered once per query."""
         query = self._query()
         backend = query.pop("backend", "eyeriss")
         task = query.pop("task", "cifar")
@@ -353,14 +508,20 @@ class _Handler(BaseHTTPRequestHandler):
                     400, f"arch expects comma-separated integers, got {raw_arch!r}"
                 ) from None
         # Whatever remains constrains backend design fields; api.cost_document
-        # validates the names against the backend's space (with hints).
-        return api.cost_document(
-            backend=backend,
-            task=task,
-            hw_space=hw_space,
-            arch=arch,
-            constraints=query or None,
-            tables=self.server.cost_tables,
+        # validates the names against the backend's space (with hints), and
+        # filters by every constraint, so their order does not matter.
+        arch_key = None if arch is None else tuple(arch)
+        key = (backend, task, hw_space, arch_key, tuple(sorted(query.items())))
+        return self.server.cost_body(
+            key,
+            lambda: api.cost_document(
+                backend=backend,
+                task=task,
+                hw_space=hw_space,
+                arch=arch,
+                constraints=query or None,
+                tables=self.server.cost_tables,
+            ),
         )
 
     def _route_post(self) -> None:

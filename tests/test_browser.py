@@ -399,6 +399,65 @@ def cache_entries(root: Path) -> int:
     return len(json.loads((root / CACHE_FILE).read_text())["entries"])
 
 
+class TestCacheSave:
+    """``BrowserCache.save`` writes the compact dump, encoding each summary once."""
+
+    def saved_dump(self, root: Path) -> bytes:
+        """``json.dumps`` of the summaries the last save wrote, compact."""
+        from repro.experiments.browser import cache
+
+        _, saved = cache._PARSED[str(root / CACHE_FILE)]
+        payload = {
+            "schema_version": CACHE_VERSION,
+            "entries": {relpath: summary.to_dict() for relpath, summary in saved.items()},
+        }
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Names of the summaries ``RunSummary.to_dict`` encoded."""
+        calls = []
+        original = RunSummary.to_dict
+
+        def counting(summary):
+            calls.append(summary.name)
+            return original(summary)
+
+        monkeypatch.setattr(RunSummary, "to_dict", counting)
+        return calls
+
+    def test_each_new_summary_is_encoded_once(self, tmp_path, encodes):
+        mixed_tree(tmp_path)
+        cold = browse(tmp_path)
+        assert sorted(encodes) == sorted(cold.summaries)
+        del encodes[:]
+        make_run(tmp_path, "late-run", result=result_payload(accuracy=0.3))
+        browse(tmp_path)
+        assert encodes == ["late-run"]
+        del encodes[:]
+        save_json(result_payload(accuracy=0.31), tmp_path / "late-run" / RESULT_FILE)
+        (tmp_path / "a-run" / RESULT_FILE).unlink()
+        browse(tmp_path)
+        assert sorted(encodes) == ["a-run", "late-run"]
+
+    def test_the_file_is_the_compact_dump(self, tmp_path):
+        mixed_tree(tmp_path)
+        make_run(tmp_path, 'r\u00e9sum\u00e9 "run"', result=result_payload(accuracy=float("nan")))
+        path = tmp_path / CACHE_FILE
+        browse(tmp_path)
+        assert path.read_bytes() == self.saved_dump(tmp_path)
+        make_run(tmp_path, "late-run", config=config_payload(seed=9))
+        browse(tmp_path)
+        assert path.read_bytes() == self.saved_dump(tmp_path)
+        browse(tmp_path, refresh=True)  # every summary new
+        assert path.read_bytes() == self.saved_dump(tmp_path)
+
+    def test_an_empty_save(self, tmp_path):
+        BrowserCache(tmp_path).save({})
+        payload = {"schema_version": CACHE_VERSION, "entries": {}}
+        assert (tmp_path / CACHE_FILE).read_text() == json.dumps(payload, separators=(",", ":"))
+
+
 class TestCacheMemo:
     """``BrowserCache.load`` parses each version of the cache file once per process."""
 

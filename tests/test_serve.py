@@ -269,18 +269,31 @@ class TestRevalidation:
 # ----------------------------------------------------------------------
 # The resident /v1/report body
 # ----------------------------------------------------------------------
+def _spy(monkeypatch, owner, name, calls, tag):
+    """Record ``tag`` in ``calls`` on every call of ``owner.name`` (server threads included)."""
+    original = getattr(owner, name)
+
+    def spying(*args, **kwargs):
+        calls.append(tag)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spying)
+
+
 @pytest.fixture
 def renders(monkeypatch):
-    """Count ``ReportScan.render`` calls, the one report renderer (server
-    threads included)."""
+    """Count the report bodies built: each renders its tail once, through
+    ``ReportScan.render_tail``, whether or not it re-renders its prefix."""
     calls = []
-    original = api.ReportScan.render
+    _spy(monkeypatch, api.ReportScan, "render_tail", calls, "tail")
+    return calls
 
-    def counting(scan, fragments):
-        calls.append(scan.root)
-        return original(scan, fragments)
 
-    monkeypatch.setattr(api.ReportScan, "render", counting)
+@pytest.fixture
+def prefix_renders(monkeypatch):
+    """Count ``ReportScan.render_prefix`` calls (server threads included)."""
+    calls = []
+    _spy(monkeypatch, api.ReportScan, "render_prefix", calls, "prefix")
     return calls
 
 
@@ -357,17 +370,29 @@ class TestReportBodyCache:
         )
         self.assert_fresh(live_server, runs_root, renders)  # at most one body stays resident
 
-    def test_refresh_and_no_cache_always_render(self, live_server, runs_root, renders):
+    def test_refresh_and_no_cache_always_render(
+        self, live_server, runs_root, renders, prefix_renders
+    ):
         http_get_raw(live_server, "/v1/report")
         for path in ("/v1/report?refresh=1", "/v1/report?cache=0") * 2:
-            before = len(renders)
+            before = (len(renders), len(prefix_renders))
             status, body, _ = http_get_raw(live_server, path)
-            assert (status, len(renders)) == (200, before + 1)
+            assert (status, len(renders), len(prefix_renders)) == (
+                200,
+                before[0] + 1,
+                before[1] + 1,
+            )
             assert body == expected_report(runs_root)
-        # The bypass stored its fresh body: a plain request is a hit again.
-        before = len(renders)
+        # The bypass stored its fresh body.  ``cache=0`` summaries are its
+        # own, so a plain request re-renders the tail over the same prefix;
+        # ``refresh=1`` saved the cache it parsed, so the next one is a hit.
+        before = len(prefix_renders)
         http_get_raw(live_server, "/v1/report")
-        assert len(renders) == before
+        assert len(prefix_renders) == before
+        assert http_get_raw(live_server, "/v1/report?refresh=1")[0] == 200
+        before = (len(renders), len(prefix_renders))
+        assert http_get_raw(live_server, "/v1/report")[1] == expected_report(runs_root)
+        assert (len(renders), len(prefix_renders)) == before
 
 
 # ----------------------------------------------------------------------
@@ -559,6 +584,149 @@ class TestResultFragments:
         for path in ("/v1/report?refresh=1", "/v1/report?cache=0"):
             _, served = self.get_report(live_server, runs_root, result_reads, path)
             assert len(served) == 2
+
+
+# ----------------------------------------------------------------------
+# Resident report-family answers
+# ----------------------------------------------------------------------
+_FAMILY_BUILDERS = {
+    "report": api.report_document,
+    "summary": api.summary_document,
+    "pareto": api.pareto_document,
+}
+
+
+def family_oracle(root: Path, endpoint: str, filters) -> bytes:
+    """The body a report-family endpoint must send: a cold in-process build."""
+    document = _FAMILY_BUILDERS[endpoint](root, use_cache=False, filters=filters)
+    return (dumps_strict(document.to_dict()) + "\n").encode("utf-8")
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Views, records and renders computed while answering (server threads included)."""
+    from repro.experiments import browser
+
+    calls = []
+    _spy(monkeypatch, browser, "results_view", calls, "results_view")
+    _spy(monkeypatch, browser, "status_view", calls, "status_view")
+    _spy(monkeypatch, api, "pareto_records", calls, "pareto_records")
+    for name in ("render_prefix", "render_tail", "render"):
+        _spy(monkeypatch, api.ReportScan, name, calls, name)
+    _spy(monkeypatch, api._Document, "render", calls, "document")
+    return calls
+
+
+@pytest.fixture(
+    params=[
+        (endpoint, query)
+        for endpoint in ("report", "summary", "pareto")
+        for query in ("", "method=dance")
+    ],
+    ids=lambda param: "-".join(filter(None, param)),
+)
+def followed(request):
+    """One report-family answer the tests follow: ``(endpoint, query)``."""
+    return request.param
+
+
+class TestResidentAnswers:
+    """Each answer equals a cold build of the tree after every kind of change,
+    and derives only what the change feeds.  ``method=dance`` keeps ``a-run``
+    and ``pending-run``, which every change below touches."""
+
+    def get(self, server, root: Path, followed, calls, extra: str = ""):
+        """``(body, derivations)`` of one GET, asserted against the oracle."""
+        endpoint, query = followed
+        filters = dict(pair.split("=") for pair in query.split("&") if pair) or None
+        expected = family_oracle(root, endpoint, filters)
+        del calls[:]
+        query = "&".join(filter(None, (query, extra)))
+        status, body, headers = http_get_raw(server, f"/v1/{endpoint}?{query}")
+        assert (status, body) == (200, expected)
+        assert headers["ETag"] == '"' + hashlib.sha256(expected).hexdigest() + '"'
+        return body, list(calls)
+
+    def test_nothing_changed_derives_nothing(self, live_server, runs_root, followed, derivations):
+        first, _ = self.get(live_server, runs_root, followed, derivations)
+        for _ in range(3):
+            assert self.get(live_server, runs_root, followed, derivations) == (first, [])
+
+    def test_a_new_pending_run_keeps_what_results_feed(
+        self, live_server, runs_root, followed, derivations
+    ):
+        old, _ = self.get(live_server, runs_root, followed, derivations)
+        held = live_server._answers[followed[0]].body
+        make_run(runs_root, "new-run", config=config_payload(seed=7))
+        body, calls = self.get(live_server, runs_root, followed, derivations)
+        assert (body == old) == (followed[0] == "pareto")  # the front lists results only
+        assert "render_prefix" not in calls and "pareto_records" not in calls
+        if followed[0] == "report":  # the same prefix object, a new tail
+            parts = live_server._answers["report"].body.parts
+            assert parts[0] is held.parts[0] and b"".join(parts) == body
+        assert self.get(live_server, runs_root, followed, derivations) == (body, [])
+
+    def test_a_rewritten_result(self, live_server, runs_root, followed, derivations):
+        old, _ = self.get(live_server, runs_root, followed, derivations)
+        history = [{"epoch": 0.0, "train_ce": 2.5}, {"epoch": 1.0, "train_ce": 2.0}]
+        save_json(
+            result_payload(accuracy=0.81, history=history), runs_root / "a-run" / RESULT_FILE
+        )
+        body, calls = self.get(live_server, runs_root, followed, derivations)
+        assert body != old or followed[0] == "summary"
+        if followed[0] == "report":
+            assert "render_prefix" in calls
+
+    def test_a_deleted_run(self, live_server, runs_root, followed, derivations):
+        old, _ = self.get(live_server, runs_root, followed, derivations)
+        shutil.rmtree(runs_root / "a-run")
+        body, _ = self.get(live_server, runs_root, followed, derivations)
+        assert body != old
+
+    def test_a_lock_appearing_then_ageing_past_the_ttl(
+        self, live_server, runs_root, followed, derivations
+    ):
+        pending, _ = self.get(live_server, runs_root, followed, derivations)
+        lock = runs_root / "pending-run" / LOCK_FILE
+        lock.write_text('{"token": "worker"}', encoding="utf-8")
+        running, calls = self.get(live_server, runs_root, followed, derivations)
+        assert "render_prefix" not in calls and "pareto_records" not in calls
+        assert self.get(live_server, runs_root, followed, derivations) == (running, [])
+        age_file(lock, live_server.lock_ttl + 60)
+        stale, _ = self.get(live_server, runs_root, followed, derivations)
+        if followed[0] != "pareto":  # the front holds no queue state
+            assert len({pending, running, stale}) == 3
+
+    def test_a_scheduler_state_write(self, live_server, runs_root, followed, derivations):
+        from repro.experiments.schedulers import ASHA, register_candidates
+
+        old, _ = self.get(live_server, runs_root, followed, derivations)
+        register_candidates(runs_root, ASHA(eta=2), ["a-run", "pending-run"], lock_ttl=60)
+        body, calls = self.get(live_server, runs_root, followed, derivations)
+        if followed[0] == "summary":
+            assert json.loads(body)["scheduler"]["candidates"] == 2
+        else:  # the schedule feeds only the summary
+            assert (body, calls) == (old, [])
+
+    def test_another_writers_cache_rewrite(self, live_server, runs_root, followed, derivations):
+        old, _ = self.get(live_server, runs_root, followed, derivations)
+        held = dict(live_server._answers[followed[0]].summaries)
+        cache_path = runs_root / CACHE_FILE
+        save_json(json.loads(cache_path.read_text()), cache_path)  # a new inode
+        body, calls = self.get(live_server, runs_root, followed, derivations)
+        assert body == old
+        assert "render_prefix" not in calls and "pareto_records" not in calls
+        summaries = live_server._answers[followed[0]].summaries
+        assert all(summaries[relpath] is not held[relpath] for relpath in held)
+
+    def test_refresh_and_no_cache_rebuild_from_nothing(
+        self, live_server, runs_root, followed, derivations
+    ):
+        self.get(live_server, runs_root, followed, derivations)
+        rebuilt = {"report": "render_prefix", "pareto": "pareto_records", "summary": "document"}
+        for extra in ("refresh=1", "cache=0"):
+            _, calls = self.get(live_server, runs_root, followed, derivations, extra)
+            assert rebuilt[followed[0]] in calls
 
 
 # ----------------------------------------------------------------------
@@ -870,6 +1038,62 @@ class TestCostEndpoint:
         assert "comma-separated integers" in json.loads(body)["error"]
         status, body = http_get(live_server, "/v1/cost?arch=1,2")
         assert status == 400  # wrong position count
+
+
+class TestCostBodies:
+    """``/v1/cost`` 200 bodies are rendered once per normalised query."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, api, "cost_document", calls, "cost")
+        return calls
+
+    def test_a_repeated_query_renders_once(self, live_server, builds):
+        paths = [
+            "/v1/cost",
+            "/v1/cost?arch=1,0,2,0,1,0,0,0,3",
+            "/v1/cost?backend=systolic&arch=0,1,2,3,4,5,6,0,1",
+        ]
+        first = [http_get_raw(live_server, path) for path in paths]
+        again = [http_get_raw(live_server, path) for path in paths]
+        assert [(status, body) for status, body, _ in again] == [
+            (status, body) for status, body, _ in first
+        ]
+        assert len(builds) == len(paths)
+        expected = api.cost_document(arch=[1, 0, 2, 0, 1, 0, 0, 0, 3]).render() + "\n"
+        assert first[1][1] == expected.encode("utf-8")
+
+    def test_equivalent_queries_share_one_body(self, live_server, builds):
+        _, body = http_get(live_server, "/v1/cost")
+        field, value = next(iter(json.loads(body)["config"].items()))
+        assert http_get(live_server, f"/v1/cost?{field}={value}&arch=1,0,2,0,1,0,0,0,3")[0] == 200
+        assert http_get(live_server, f"/v1/cost?arch=1,0,2,0,1,0,0,0,3&{field}={value}")[0] == 200
+        assert len(builds) == 2
+
+    def test_errors_are_never_stored(self, live_server, builds):
+        for _ in range(2):
+            assert http_get(live_server, "/v1/cost?backend=eyerriss")[0] == 400
+            assert http_get(live_server, "/v1/cost?pe_xx=8")[0] == 400
+        assert len(builds) == 4 and len(live_server.cost_bodies) == 0
+
+    def test_the_store_is_bounded_least_recently_used_first(
+        self, live_server, builds, monkeypatch
+    ):
+        from repro.serve import app
+
+        monkeypatch.setattr(app, "COST_BODIES", 2)
+        paths = [f"/v1/cost?arch={index},0,0,0,0,0,0,0,0" for index in range(3)]
+        for path in paths[:2]:
+            http_get(live_server, path)
+        http_get(live_server, paths[0])  # most recent now: paths[1] goes next
+        http_get(live_server, paths[2])
+        assert len(live_server.cost_bodies) == 2
+        del builds[:]
+        http_get(live_server, paths[0])
+        assert builds == []
+        http_get(live_server, paths[1])
+        assert builds == ["cost"]
 
 
 # ----------------------------------------------------------------------
