@@ -281,18 +281,6 @@ def walk_tree(
     return TreeWalk(root, outcome.summaries, outcome.locked, _ttl(lock_ttl))
 
 
-def result_signatures(listed: Sequence[Tuple[str, Any]]) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-    """``(name, result.json (mtime_ns, size))`` of every run of a results listing.
-
-    Everything a report's ``results``/``pareto`` members and a Pareto
-    document render depends on, under the same trust in stat signatures
-    the browser cache places (``docs/browser.md``).
-    """
-    from repro.experiments.browser.run_summary import RESULT_ARTIFACT
-
-    return tuple((name, tuple(summary.signature[RESULT_ARTIFACT])) for name, summary in listed)
-
-
 def _ttl(lock_ttl: Optional[float]) -> float:
     from repro.experiments.sweep import DEFAULT_LOCK_TTL
 
@@ -436,8 +424,8 @@ class ReportScan:
     ``runs`` member: :meth:`render_prefix` (head, ``results``, ``pareto``)
     depends only on the listed results, :meth:`render_tail` (``runs``,
     ``summary``) on queue state too, so a server whose listed results kept
-    their signatures (:func:`result_signatures`) re-renders the tail
-    alone.  :meth:`document` builds the same report as plain dicts.
+    their ``result.json`` signatures re-renders the tail alone.
+    :meth:`document` builds the same report as plain dicts.
     """
 
     root: Path
@@ -986,7 +974,6 @@ __all__ = [
     "pareto_records",
     "report_document",
     "report_scan",
-    "result_signatures",
     "run_document",
     "run_states",
     "schedule_document",

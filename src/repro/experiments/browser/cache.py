@@ -55,16 +55,15 @@ logger = get_logger("experiments.browser.cache")
 CACHE_VERSION = 3
 CACHE_FILE = ".browser_cache.json"
 
-#: Per cache path, the summaries last parsed from it or saved to it and the
-#: ``(st_ino, st_mtime_ns, st_size)`` of the file version they belong to.
-#: Entries are replaced whole, never mutated: two ``serve`` handler threads
-#: that parse the same version at once store equal summaries.
-_PARSED: Dict[str, Tuple[Tuple[int, int, int], Dict[str, RunSummary]]] = {}
-
-#: Per cache path, the compact JSON entry (``"<relpath>":{...}``) of every
-#: summary last saved there, held with the summary it encodes.  Replaced
-#: whole by each save, so it holds only the summaries of the latest one.
-_ENCODED: Dict[str, Dict[str, Tuple[RunSummary, bytes]]] = {}
+#: Per cache path, the summaries last parsed from it or saved to it, the
+#: ``(st_ino, st_mtime_ns, st_size)`` of the file version they belong to,
+#: and — after a save — each summary's compact JSON entry
+#: (``"<relpath>":{...}``) by relpath (``{}`` after a parse).  Records are
+#: replaced whole, never mutated: two ``serve`` handler threads that parse
+#: the same version at once store equal summaries.
+_PARSED: Dict[
+    str, Tuple[Tuple[int, int, int], Dict[str, RunSummary], Dict[str, bytes]]
+] = {}
 
 
 class BrowserCache:
@@ -102,7 +101,7 @@ class BrowserCache:
         except OSError:
             return {}
         summaries = self._parse(data)
-        _PARSED[key] = (version, summaries)
+        _PARSED[key] = (version, summaries, {})
         return dict(summaries)
 
     def _parse(self, data: bytes) -> Dict[str, RunSummary]:
@@ -147,23 +146,23 @@ class BrowserCache:
         ``{"schema_version": ..., "entries": {relpath: to_dict()}}`` —
         compact, since it is machine-only and parse speed and size matter
         more than diffability — written as a join of one encoded entry per
-        summary.  An entry is encoded once per summary object: the entry a
-        previous save encoded is reused while it is handed the very same
-        (read-only) summary under the same relpath.
+        summary.  An entry is encoded once per summary object: the memo
+        record keeps the entries a save wrote, and the next save reuses one
+        while it is handed the very same (read-only) summary under the same
+        relpath.
         """
         key = str(self.path)
-        held = _ENCODED.get(key, {})
-        encoded: Dict[str, Tuple[RunSummary, bytes]] = {}
+        _, held, held_entries = _PARSED.get(key, (None, {}, {}))
+        entries: Dict[str, bytes] = {}
         for relpath, summary in summaries.items():
-            prior = held.get(relpath)
-            if prior is None or prior[0] is not summary:
-                entry = json.dumps(summary.to_dict(), separators=(",", ":"))
-                prior = (summary, f"{json.dumps(relpath)}:{entry}".encode("utf-8"))
-            encoded[relpath] = prior
-        _ENCODED[key] = encoded
+            entry = held_entries.get(relpath)
+            if entry is None or held[relpath] is not summary:
+                record = json.dumps(summary.to_dict(), separators=(",", ":"))
+                entry = f"{json.dumps(relpath)}:{record}".encode("utf-8")
+            entries[relpath] = entry
         data = [
             b'{"schema_version":%d,"entries":{' % CACHE_VERSION,
-            b",".join(entry for _, entry in encoded.values()),
+            b",".join(entries.values()),
             b"}}",
         ]
         try:
@@ -172,5 +171,5 @@ class BrowserCache:
             logger.warning("could not write browser cache %s: %s", self.path, error)
             return False
         version = (written.st_ino, written.st_mtime_ns, written.st_size)
-        _PARSED[key] = (version, dict(summaries))
+        _PARSED[key] = (version, dict(summaries), entries)
         return True

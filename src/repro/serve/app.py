@@ -57,10 +57,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import api
+from repro.experiments.browser.run_summary import RESULT_ARTIFACT
 from repro.utils.logging import get_logger
 from repro.utils.serialization import dumps_strict
 from repro.utils.text import did_you_mean as _did_you_mean
@@ -123,26 +124,49 @@ def _file_version(path: Path) -> Optional[Tuple[int, int, int]]:
     return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
 
+def _filter_key(filters: Optional[Mapping[str, str]]) -> Tuple[Tuple[str, str], ...]:
+    """A filter query, normalised: its sorted ``(key, value)`` pairs."""
+    return tuple(sorted((filters or {}).items()))
+
+
+def _result_signatures(listed: Sequence[Tuple[str, Any]]) -> Tuple[Any, ...]:
+    """``(name, result.json (mtime_ns, size))`` of every run of a results listing.
+
+    Everything a report's ``results``/``pareto`` members and a Pareto
+    document render depends on, under the same trust in stat signatures
+    the browser cache places (``docs/browser.md``).
+    """
+    return tuple((name, tuple(summary.signature[RESULT_ARTIFACT])) for name, summary in listed)
+
+
 @dataclass(frozen=True)
 class _Body:
-    """A report-family response body and what its bytes depend on beyond queue state."""
+    """A report-family response body and the listed results its bytes were built from."""
 
-    #: :func:`repro.api.result_signatures` of the listed results (report, Pareto).
+    #: :func:`_result_signatures` of the listed results (``()`` for the
+    #: summary, which queue state feeds whole).
     results: Tuple[Any, ...]
-    #: The body's bytes in sending order (the report keeps prefix and tail apart).
+    #: The body's bytes in sending order.
     parts: Tuple[bytes, ...]
     #: The SHA-256 of ``b"".join(parts)``.
     etag: str
-    #: The report's SHA-256 state over ``parts[0]``, and the results it holds.
-    prefix_digest: Any = None
-    result_count: int = 0
 
 
 @dataclass(frozen=True)
-class _Answer:
-    """One report-family endpoint's resident body and the walk it was built from."""
+class _ReportBody(_Body):
+    """A report body, prefix and tail apart, with what a tail-only rebuild needs."""
 
-    #: The normalised filter query, as sorted ``(key, value)`` pairs.
+    #: The SHA-256 state over the prefix, ``parts[0]``.
+    prefix_digest: Any
+    #: The number of results the prefix holds.
+    result_count: int
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """What a walk feeds a report-family body besides the listed results."""
+
+    #: The normalised filter query (:func:`_filter_key`).
     filters: Tuple[Tuple[str, str], ...]
     #: The walk's summaries, unfiltered: shared objects, compared by identity.
     summaries: Mapping[str, Any]
@@ -150,24 +174,25 @@ class _Answer:
     lock_states: Mapping[str, str]
     #: Version of ``.scheduler_state.json`` (``/v1/summary`` only).
     scheduler: Optional[Tuple[int, int, int]]
-    body: _Body
 
-    def holds(
-        self,
-        filters: Tuple[Tuple[str, str], ...],
-        summaries: Mapping[str, Any],
-        lock_states: Mapping[str, str],
-        scheduler: Optional[Tuple[int, int, int]],
-    ) -> bool:
-        """Whether a walk with these inputs would build this very body."""
+    def holds(self, walk: "_Basis") -> bool:
+        """Whether ``walk`` would build the very body this basis built."""
         held = self.summaries
         return (
-            filters == self.filters
-            and len(summaries) == len(held)
-            and all(held.get(relpath) is summary for relpath, summary in summaries.items())
-            and lock_states == self.lock_states
-            and scheduler == self.scheduler
+            walk.filters == self.filters
+            and walk.lock_states == self.lock_states
+            and walk.scheduler == self.scheduler
+            and len(walk.summaries) == len(held)
+            and all(held.get(relpath) is summary for relpath, summary in walk.summaries.items())
         )
+
+
+@dataclass(frozen=True)
+class _Answer:
+    """One report-family endpoint's resident body and the basis it was built from."""
+
+    basis: _Basis
+    body: _Body
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -203,8 +228,8 @@ class ReproServer(ThreadingHTTPServer):
         whose listing held a ``LOCK`` (and, for the summary, the schedule
         file's version) is taken *before* anything is built, so a lock that
         ages while a body renders makes the next request rebuild rather
-        than keep a stale body.  While the resident answer
-        :meth:`_Answer.holds` for this walk, its body is the answer, and
+        than keep a stale body.  While the resident answer's basis
+        :meth:`_Basis.holds` for this walk, its body is the answer, and
         nothing is viewed, rendered or hashed.  Otherwise the endpoint's
         builder makes a new body, which replaces it.  ``refresh``/``cache=0``
         requests always rebuild from nothing, like the ``--refresh`` /
@@ -218,8 +243,9 @@ class ReproServer(ThreadingHTTPServer):
             from repro.experiments.schedulers.state import state_path
 
             scheduler = _file_version(state_path(walk.root))
-        basis = dict(
-            filters=tuple(sorted((options["filters"] or {}).items())),
+        filters = options["filters"]
+        basis = _Basis(
+            filters=_filter_key(filters),
             summaries=walk.summaries,
             lock_states={
                 relpath: walk.summaries[relpath].state(walk.root, walk.ttl, walk.locked)
@@ -228,27 +254,36 @@ class ReproServer(ThreadingHTTPServer):
             scheduler=scheduler,
         )
         reusable = options["use_cache"] and not options["refresh"]
-        held = self._answers.get(endpoint) if reusable else None
-        if held is not None and held.holds(**basis):
-            return held.body
-        held = None  # a report build may drop the resident body first
-        build = {
-            "report": self._build_report,
-            "pareto": self._build_pareto,
-            "summary": self._build_summary,
-        }[endpoint]
-        body = build(walk, options["filters"], basis["filters"], reusable)
-        self._answers[endpoint] = _Answer(body=body, **basis)
+        resident = self._answers.get(endpoint)
+        if reusable and resident is not None and resident.basis.holds(basis):
+            return resident.body
+        # A ``cache=0`` walk's summaries are its own objects, which no later
+        # walk returns: should it build the resident bytes again, the
+        # resident basis, which the next plain walk can match, is kept.
+        kept = None
+        if not options["use_cache"] and resident is not None:
+            if resident.basis.filters == basis.filters:
+                kept = (resident.body.etag, resident.basis)
+        resident = None  # a report build may drop the resident body first
+        if endpoint == "report":
+            body = self._build_report(walk, filters, reusable)
+        elif endpoint == "pareto":
+            body = self._build_pareto(walk, filters, reusable)
+        else:
+            body = self._build_summary(walk, filters)
+        if kept is not None and kept[0] == body.etag:
+            basis = kept[1]
+        self._answers[endpoint] = _Answer(basis, body)
         return body
 
-    def _held_body(self, endpoint: str, filter_key, results, reusable: bool) -> Optional[_Body]:
+    def _held_body(self, endpoint: str, filters, results, reusable: bool) -> Optional[_Body]:
         """The resident body if it lists the same results under the same filters."""
         held = self._answers.get(endpoint) if reusable else None
-        if held is not None and held.filters == filter_key and held.body.results == results:
-            return held.body
-        return None
+        if held is None or held.basis.filters != _filter_key(filters):
+            return None
+        return held.body if held.body.results == results else None
 
-    def _build_report(self, walk, filters, filter_key, reusable: bool) -> _Body:
+    def _build_report(self, walk, filters, reusable: bool) -> _ReportBody:
         """The report in two parts; the prefix is kept while the listed results are.
 
         A miss whose listed results kept their signatures renders only the
@@ -261,8 +296,8 @@ class ReproServer(ThreadingHTTPServer):
         complete store, since neither is ever mutated.
         """
         scan = api.report_scan(walk.root, filters=filters, walk=walk)
-        results = api.result_signatures(scan.listed)
-        held = self._held_body("report", filter_key, results, reusable)
+        results = _result_signatures(scan.listed)
+        held = self._held_body("report", filters, results, reusable)
         if held is not None:
             prefix, digest, count = held.parts[0], held.prefix_digest, held.result_count
             held = None
@@ -275,18 +310,18 @@ class ReproServer(ThreadingHTTPServer):
         tail = scan.render_tail(count)
         full = digest.copy()
         full.update(tail)
-        return _Body(results, (prefix, tail), _quoted(full), digest, count)
+        return _ReportBody(results, (prefix, tail), _quoted(full), digest, count)
 
-    def _build_pareto(self, walk, filters, filter_key, reusable: bool) -> _Body:
+    def _build_pareto(self, walk, filters, reusable: bool) -> _Body:
         """The Pareto body, kept while the listed results are."""
-        results = api.result_signatures(walk.listed(filters))
-        held = self._held_body("pareto", filter_key, results, reusable)
+        results = _result_signatures(walk.listed(filters))
+        held = self._held_body("pareto", filters, results, reusable)
         if held is not None:
             return held
         body = _body(api.pareto_document(walk.root, filters=filters, walk=walk).render())
         return _Body(results, (body,), _etag(body))
 
-    def _build_summary(self, walk, filters, filter_key, reusable: bool) -> _Body:
+    def _build_summary(self, walk, filters) -> _Body:
         """The summary body: queue state feeds all of it, so it is rebuilt."""
         body = _body(api.summary_document(walk.root, filters=filters, walk=walk).render())
         return _Body((), (body,), _etag(body))

@@ -406,7 +406,7 @@ class TestCacheSave:
         """``json.dumps`` of the summaries the last save wrote, compact."""
         from repro.experiments.browser import cache
 
-        _, saved = cache._PARSED[str(root / CACHE_FILE)]
+        _, saved, _ = cache._PARSED[str(root / CACHE_FILE)]
         payload = {
             "schema_version": CACHE_VERSION,
             "entries": {relpath: summary.to_dict() for relpath, summary in saved.items()},
@@ -501,9 +501,9 @@ class TestCacheMemo:
         browse(tmp_path)
         browse(tmp_path)
         key = str(tmp_path / CACHE_FILE)
-        version, held = cache._PARSED[key]
+        version, held, _ = cache._PARSED[key]
         poisoned = dict(held, **{"a-run": dataclasses.replace(held["a-run"], accuracy=0.999)})
-        cache._PARSED[key] = (version, poisoned)
+        cache._PARSED[key] = (version, poisoned, {})
         assert browse(tmp_path, use_cache=False).summaries["a-run"].accuracy == 0.42
         assert browse(tmp_path).summaries["a-run"].accuracy == 0.999  # the memo is trusted
         assert browse(tmp_path, refresh=True).summaries["a-run"].accuracy == 0.42
@@ -514,7 +514,7 @@ class TestCacheMemo:
         mixed_tree(tmp_path)
         outcome = browse(tmp_path)  # cold: saves the cache
         path = tmp_path / CACHE_FILE
-        version, seeded = cache._PARSED[str(path)]
+        version, seeded, _ = cache._PARSED[str(path)]
         stat = path.stat()
         assert version == (stat.st_ino, stat.st_mtime_ns, stat.st_size)
         parsed = BrowserCache(tmp_path)._parse(path.read_bytes())

@@ -53,7 +53,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: of every result vs a ``/v1/report`` miss that only a new pending job
 #: caused) is tracked the same way, with its own floor: losing the server's
 #: resident result fragments collapses it to ~1.  ``serve_cost_query``
-#: (rebuilt cost table and body vs a resident body over HTTP) includes per-request socket
+#: (resident vs rebuilt cost table over HTTP) includes per-request socket
 #: round-trips on both sides, so a hard multiple would gate on loopback
 #: noise; it gates on relative regressions only.  ``scheduler_decide`` (cold ASHA coordinator
 #: sync vs warm re-sync on a settled schedule) is cold-vs-warm like the serve
